@@ -269,7 +269,7 @@ class TransparentProxy(Node):
     def broadcast_schedule(self, schedule: Schedule) -> None:
         """Send the schedule as a UDP broadcast (via the AP)."""
         self._schedule_socket.broadcast(
-            schedule.wire_payload, SCHEDULE_PORT, meta=schedule.as_meta()
+            schedule.wire_payload, SCHEDULE_PORT, meta={"schedule": schedule}
         )
         self.obs.event(
             self.sim.now, "proxy.schedule",

@@ -10,12 +10,16 @@ All times inside a schedule are proxy-clock timestamps; power-aware
 clients never trust them absolutely — they anchor on the schedule's
 *arrival* time and use only the relative offsets (see
 :mod:`repro.core.delay_comp`).
+
+The simulated broadcast carries the frozen :class:`Schedule` itself;
+only a capture file (:mod:`repro.net.capture_io`) holds its dict form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.errors import SchedulingError
 
@@ -95,7 +99,7 @@ class Schedule:
         return None
 
     def as_meta(self) -> dict:
-        """Serialize into packet metadata (the DES wire format)."""
+        """The capture-file (format v1) form of this schedule."""
         return {
             "schedule": {
                 "seq": self.seq,
@@ -116,23 +120,34 @@ class Schedule:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "Schedule":
-        """Parse a schedule out of packet metadata."""
+        """Parse the capture-file form (``repeats_next`` may be absent);
+        bad fields or schedule invariants raise :class:`SchedulingError`."""
         try:
             raw = meta["schedule"]
             return cls(
-                seq=raw["seq"],
-                srp=raw["srp"],
-                next_srp=raw["next_srp"],
-                repeats_next=raw.get("repeats_next", False),
+                seq=_field(raw, "seq", int),
+                srp=_field(raw, "srp", float),
+                next_srp=_field(raw, "next_srp", float),
+                repeats_next=_field(raw, "repeats_next", bool, False),
                 slots=tuple(
                     BurstSlot(
-                        client_ip=s["client_ip"],
-                        rendezvous=s["rendezvous"],
-                        duration=s["duration"],
-                        bytes_allotted=s["bytes_allotted"],
+                        client_ip=_field(s, "client_ip", str),
+                        rendezvous=_field(s, "rendezvous", float),
+                        duration=_field(s, "duration", float),
+                        bytes_allotted=_field(s, "bytes_allotted", int),
                     )
-                    for s in raw["slots"]
+                    for s in _field(raw, "slots", list)
                 ),
             )
         except (KeyError, TypeError) as exc:
             raise SchedulingError(f"malformed schedule metadata: {exc}") from exc
+
+
+def _field(raw: dict, key: str, kind: type, default: Any = None) -> Any:
+    """``raw[key]``, checked to be a ``kind`` (``float``: a finite number)."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ) or (kind is float and not math.isfinite(value)):
+        raise SchedulingError(f"field {key!r} must be {kind.__name__}: {value!r}")
+    return value

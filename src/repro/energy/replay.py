@@ -34,7 +34,7 @@ from repro.core.delay_comp import DelayCompensator
 from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
-from repro.net.addr import BROADCAST_IP, Endpoint
+from repro.net.addr import Endpoint
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.sniffer import FrameRecord
@@ -57,14 +57,13 @@ class ReplayResult:
 
 def _rebuild_packet(frame: FrameRecord) -> Packet:
     """Reconstruct enough of a packet for the client daemon's logic."""
-    meta = dict(frame.schedule_meta) if frame.schedule_meta else {}
     return Packet(
         proto=frame.proto,
         src=Endpoint(frame.src_ip, frame.src_port or 1),
         dst=Endpoint(frame.dst_ip, frame.dst_port or 1),
         payload_size=frame.payload_size,
         tos_marked=frame.tos_marked,
-        meta=meta,
+        meta={"schedule": frame.schedule} if frame.schedule is not None else {},
         created_at=frame.start,
     )
 

@@ -5,15 +5,19 @@ paper's tcpdump file). These helpers persist it as JSON-lines so a
 capture can be archived and re-analyzed later — e.g. replaying
 alternative client policies with :mod:`repro.energy.replay` without
 re-running the simulation.
+
+A schedule leaves the process only here: saved in its ``as_meta`` form
+(format v1), parsed and validated at load.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from repro.errors import TraceError
+from repro.core.schedule import Schedule
+from repro.errors import SchedulingError, TraceError
 from repro.net.sniffer import FrameRecord
 
 #: Format marker written as the first line.
@@ -44,7 +48,10 @@ def save_capture(frames: Sequence[FrameRecord], path: PathLike) -> pathlib.Path:
                         "broadcast": frame.broadcast,
                         "packet_id": frame.packet_id,
                         "sender": frame.sender,
-                        "schedule_meta": frame.schedule_meta,
+                        "schedule_meta": (
+                            None if frame.schedule is None
+                            else frame.schedule.as_meta()
+                        ),
                         "cell": frame.cell,
                     }
                 )
@@ -74,8 +81,12 @@ def load_capture(path: PathLike) -> list[FrameRecord]:
                 continue
             try:
                 raw = json.loads(line)
-                frames.append(FrameRecord(**raw))
-            except (json.JSONDecodeError, TypeError) as exc:
+                meta = raw.pop("schedule_meta", None)
+                schedule = None if meta is None else Schedule.from_meta(meta)
+                frames.append(FrameRecord(**raw, schedule=schedule))
+            except (
+                json.JSONDecodeError, AttributeError, TypeError, SchedulingError
+            ) as exc:
                 raise TraceError(
                     f"{path}:{line_number}: bad frame record: {exc}"
                 ) from exc

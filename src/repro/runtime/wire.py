@@ -9,7 +9,7 @@ the simulated adaptive delay compensation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SchedulingError

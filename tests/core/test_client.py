@@ -66,6 +66,35 @@ def test_client_hears_schedules_and_sleeps_between():
     assert awake < 1.5  # mostly asleep with no traffic
 
 
+def test_heard_schedule_is_the_broadcast_object():
+    """Schedules travel by reference: no per-receiver decode or copy."""
+    scenario = quiet_scenario(n_clients=2)
+    daemons = with_dynamic_scheduler(scenario, interval=0.2)
+    sent = {}
+    broadcast = scenario.proxy.broadcast_schedule
+
+    def record(schedule):
+        sent[schedule.seq] = schedule
+        broadcast(schedule)
+
+    scenario.proxy.broadcast_schedule = record
+    heard = []
+    for daemon in daemons:
+        observe = daemon.compensator.observe_arrival
+
+        def hear(schedule, arrival, observe=observe):
+            heard.append(schedule)
+            observe(schedule, arrival)
+
+        daemon.compensator.observe_arrival = hear
+    scenario.sim.run(until=2.0)
+    captured = [
+        f.schedule for f in scenario.monitor.frames if f.schedule is not None
+    ]
+    assert len(heard) >= 2 * 8 and len(captured) >= 8
+    assert all(s is sent[s.seq] for s in heard + captured)
+
+
 def test_client_receives_burst_and_returns_to_sleep():
     scenario = quiet_scenario()
     (daemon,) = with_dynamic_scheduler(scenario, interval=0.2)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.bandwidth_model import calibrate
 from repro.core.static_schedule import (
     StaticClient,
-    StaticLayout,
     StaticScheduler,
     StaticSlot,
     build_layout,
@@ -47,14 +46,6 @@ class TestLayout:
     def test_interval_too_small_rejected(self):
         with pytest.raises(SchedulingError):
             build_layout([client_ip(i) for i in range(50)], interval_s=0.01)
-
-    def test_meta_round_trip(self):
-        layout = build_layout(
-            [client_ip(0), client_ip(1)], interval_s=0.1,
-            tcp_weight=0.2, tcp_clients=[client_ip(2)], epoch=3.5,
-        )
-        parsed = StaticLayout.from_meta(layout.as_meta())
-        assert parsed == layout
 
     def test_slot_for(self):
         layout = build_layout([client_ip(0)], interval_s=0.1)
@@ -126,6 +117,15 @@ class TestStaticExecution:
         for handle in scenario.clients:
             # no schedule wake-ups at all -> low duty cycle
             assert handle.wnic.awake_time(5.0) < 1.8
+
+    def test_client_holds_the_announced_layout_object(self):
+        """The layout travels by reference: clients share the proxy's."""
+        scenario = static_scenario(n_clients=2, interval=0.1)
+        scenario.sim.run(until=0.5)
+        layout = scenario.proxy.scheduler.layout
+        assert layout.epoch > 0.0
+        for handle in scenario.clients:
+            assert handle.daemon._layout is layout
 
     def test_no_schedule_broadcasts_after_start(self):
         scenario = static_scenario(n_clients=1, interval=0.1)
