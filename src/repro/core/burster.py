@@ -17,7 +17,7 @@ bursting thread and the IPQ thread:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.queues import ClientQueue, QueueEntry
 from repro.core.schedule import BurstSlot
@@ -102,6 +102,9 @@ class Burster:
         self._controllers: dict[TcpConnection, MarkingController] = {}
         self.bursts_sent = 0
         self.bytes_burst = 0
+        #: Per-client (``proxy.bursts``, ``proxy.burst_bytes``) counter
+        #: handles, resolved on first use (see Recorder.resolve_counter).
+        self._burst_handles: dict[str, tuple[Any, Any]] = {}
 
     def controller_for(self, connection: TcpConnection) -> MarkingController:
         """The marking controller for a client-side connection."""
@@ -169,8 +172,16 @@ class Burster:
             client=queue.client_ip, bytes=sent, entries=len(entries),
             allotted=slot.bytes_allotted,
         )
-        self.obs.inc("proxy.bursts", client=queue.client_ip)
-        self.obs.inc("proxy.burst_bytes", sent, client=queue.client_ip)
+        handles = self._burst_handles.get(queue.client_ip)
+        if handles is None:
+            handles = self._burst_handles[queue.client_ip] = (
+                self.obs.resolve_counter("proxy.bursts", client=queue.client_ip),
+                self.obs.resolve_counter(
+                    "proxy.burst_bytes", client=queue.client_ip
+                ),
+            )
+        handles[0].inc()
+        handles[1].inc(sent)
         if slot.bytes_allotted > 0:
             self.obs.observe(
                 "proxy.burst_fill_ratio",

@@ -111,6 +111,8 @@ class PowerAwareClient:
 
         # -- counters (consumed by the energy analyzer / figure 6) --
         self.schedules_heard = 0
+        #: ``client.schedules_heard`` handle, resolved on first use.
+        self._heard_handle = None
         self.missed_schedules = 0
         self.marks_missed = 0
         self.empty_bursts = 0
@@ -154,7 +156,12 @@ class PowerAwareClient:
             arrival, "client.schedule-heard", client=self.node.ip,
             seq=schedule.seq,
         )
-        self.obs.inc("client.schedules_heard", client=self.node.ip)
+        heard = self._heard_handle
+        if heard is None:
+            heard = self._heard_handle = self.obs.resolve_counter(
+                "client.schedules_heard", client=self.node.ip
+            )
+        heard.inc()
         if self._awaiting_mark:
             # Paper case 1: ignore (queue) until the marked packet shows
             # up — but a *second* schedule supersedes a lost mark, so a

@@ -552,14 +552,17 @@ def generate_report(results_dir: pathlib.Path) -> str:
             "## Observability overhead",
             "",
             "Wall-clock cost of the instrumentation facade on the "
-            "schedule-reuse workload (min of 3 runs per mode; `null` = "
+            "schedule-reuse workload (9 reps, modes interleaved; each "
+            "overhead is the median of the within-rep ratios to `trace`, "
+            "with their interquartile range in points; `null` = "
             "NullRecorder hooks, `trace` = pre-obs baseline, `full` = "
             "trace + metrics + spans). The NullRecorder budget is 5%.",
             "",
             _table(
                 overhead,
                 ["t_null_s", "t_trace_s", "t_full_s",
-                 "null_overhead_pct", "full_overhead_pct"],
+                 "null_overhead_pct", "null_overhead_iqr_pct",
+                 "full_overhead_pct", "full_overhead_iqr_pct"],
             ),
             "",
         ]

@@ -27,6 +27,7 @@ from repro.faults import FaultPlan
 from repro.net.addr import Endpoint
 from repro.net.channel import ChannelPlan
 from repro.obs import NULL_RECORDER, Recorder
+from repro.sim import collector_paused
 from repro.units import mib
 from repro.wnic.power import WAVELAN_2_4GHZ, PowerModel
 from repro.workloads.ftp import FTP_PORT, FtpClientApp, FtpServerApp
@@ -211,7 +212,18 @@ def mixed(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment end to end and analyze it."""
+    """Run one experiment end to end and analyze it.
+
+    The whole call (build, ``sim.run``, analysis) runs with the cyclic
+    garbage collector paused: the scenario graph stays reachable until
+    the call returns, so collections during the run would only rescan
+    it. The first collection after return frees it in one go.
+    """
+    with collector_paused():
+        return _run_experiment(config)
+
+
+def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scenario_config = config.scenario or ScenarioConfig(
         n_clients=len(config.clients), seed=config.seed,
         obs_mode=config.obs_mode,

@@ -74,8 +74,15 @@ class WirelessMedium:
         #: Draws live on exclusive ``channel*`` streams, so installing
         #: one never perturbs fault-plan or backoff replays.
         self.channel = None
+        #: Attached interfaces in attach order (broadcast receivers).
         self._stations: list[Interface] = []
-        self._station_ips: set[str] = set()
+        #: Receiver index: a unicast frame visits only the promiscuous
+        #: stations and its addressees, merged back into attach order
+        #: by each interface's attach sequence number.
+        self._by_ip: dict[str, list[Interface]] = {}
+        self._promiscuous: list[Interface] = []
+        self._attach_seq: dict[Interface, int] = {}
+        self._next_seq = 0
         #: Clients that roamed away mid-flight: frames addressed to them
         #: die in this cell instead of bouncing off the gateway. Empty
         #: (and free) outside campus runs.
@@ -111,7 +118,11 @@ class WirelessMedium:
             raise NetworkError(f"{iface!r} is already attached to a channel")
         iface.channel = self
         self._stations.append(iface)
-        self._station_ips.add(iface.node.ip)
+        self._by_ip.setdefault(iface.node.ip, []).append(iface)
+        if iface.promiscuous:
+            self._promiscuous.append(iface)
+        self._attach_seq[iface] = self._next_seq
+        self._next_seq += 1
         self.departed.discard(iface.node.ip)
         if gateway:
             if self._gateway is not None:
@@ -125,7 +136,14 @@ class WirelessMedium:
         if iface.channel is not self:
             raise NetworkError(f"{iface!r} is not attached to this medium")
         self._stations.remove(iface)
-        self._station_ips.discard(iface.node.ip)
+        ip = iface.node.ip
+        same_ip = self._by_ip[ip]
+        same_ip.remove(iface)
+        if not same_ip:
+            del self._by_ip[ip]
+        if iface.promiscuous:
+            self._promiscuous.remove(iface)
+        del self._attach_seq[iface]
         iface.channel = None
 
     def set_cell(self, label: str) -> None:
@@ -154,7 +172,7 @@ class WirelessMedium:
 
     def transmit(self, src_iface: Interface, packet: Packet) -> None:
         """Queue ``packet`` for the channel; FIFO, one frame at a time."""
-        if src_iface not in self._stations:
+        if src_iface.channel is not self:
             raise NetworkError(f"{src_iface!r} is not attached to this medium")
         self._queue.append((src_iface, packet))
         if not self._busy:
@@ -272,17 +290,26 @@ class WirelessMedium:
             self._frame_handles[packet.proto] = handles
         handles[0].inc()
         handles[1].observe(packet.wire_size)
-        dst_is_station = packet.dst.ip in self._station_ips
-        for iface in self._stations:
+        dst_ip = packet.dst.ip
+        if packet.is_broadcast:
+            receivers = self._stations
+        else:
+            receivers = self._promiscuous
+            addressees = self._by_ip.get(dst_ip)
+            if addressees:
+                if receivers:
+                    receivers = sorted(
+                        receivers
+                        + [i for i in addressees if not i.promiscuous],
+                        key=self._attach_seq.__getitem__,
+                    )
+                else:
+                    receivers = addressees
+        for iface in receivers:
             if iface is src_iface:
                 continue
             if iface.promiscuous:
                 iface.deliver(packet)
-                continue
-            addressed = (
-                packet.is_broadcast or iface.node.ip == packet.dst.ip
-            )
-            if not addressed:
                 continue
             out_of_range = self.faults is not None and not self.faults.can_hear(
                 end, iface.node.ip
@@ -325,9 +352,9 @@ class WirelessMedium:
                     cause=cause,
                     **self._cell_fields,
                 )
-        if packet.is_broadcast or dst_is_station:
+        if packet.is_broadcast or dst_ip in self._by_ip:
             return
-        if packet.dst.ip in self.departed:
+        if dst_ip in self.departed:
             # The addressee roamed away mid-flight: the frame dies here
             # instead of bouncing between the gateway and the medium.
             self.frames_missed += 1

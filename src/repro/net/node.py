@@ -41,9 +41,22 @@ class Interface:
         #: Optional gate consulted before the medium delivers a frame
         #: (clients wire this to their WNIC power state).
         self.rx_gate: Optional[Callable[[Packet], bool]] = None
-        #: Promiscuous interfaces receive frames regardless of address
-        #: (the monitoring station).
-        self.promiscuous = False
+        self._promiscuous = False
+
+    @property
+    def promiscuous(self) -> bool:
+        """Whether frames arrive regardless of address (the monitor)."""
+        return self._promiscuous
+
+    @promiscuous.setter
+    def promiscuous(self, value: bool) -> None:
+        # A medium indexes its receivers at attach time.
+        if self.channel is not None:
+            raise NetworkError(
+                f"set promiscuous on {self.node.name}/{self.name} before "
+                "attaching it"
+            )
+        self._promiscuous = value
 
     def send(self, packet: Packet) -> None:
         """Hand ``packet`` to the attached channel for transmission."""

@@ -8,7 +8,7 @@ heap of pending events. Determinism is guaranteed by a total event order
 named, seeded streams (:class:`~repro.sim.random.RngStreams`).
 """
 
-from repro.sim.core import Event, Simulator, Timeout
+from repro.sim.core import Event, Simulator, Timeout, collector_paused
 from repro.sim.process import Process
 from repro.sim.random import RngStreams
 from repro.sim.resources import Resource, Store
@@ -24,4 +24,5 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "TraceRecorder",
+    "collector_paused",
 ]

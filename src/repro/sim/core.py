@@ -30,8 +30,10 @@ contract pinned by ``tests/sim/test_kernel_equivalence.py``.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SimulationError
 
@@ -39,6 +41,29 @@ from repro.errors import SimulationError
 NORMAL = 1
 #: Priority for urgent events (fire before NORMAL events at the same time).
 URGENT = 0
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the enclosed block.
+
+    A live simulation is a large graph (hundreds of thousands of
+    objects for a 1000-client campus) that stays reachable until the
+    run ends, so every collection the run triggers rescans it and finds
+    almost nothing: the kernel emits no cyclic garbage (see
+    :class:`_Condition`). The collector is disabled only if it was
+    enabled and is restored on exit, exceptions included; nested uses
+    leave the outermost one in charge. Reference counting still frees
+    acyclic garbage as usual.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Event:
@@ -195,58 +220,90 @@ class _Call1:
         self.fn(self.arg)
 
 
-class AnyOf(Event):
+class _Condition(Event):
+    """Shared plumbing of :class:`AnyOf` and :class:`AllOf`.
+
+    A condition hooks ``_on_child`` into each child and, once decided
+    (fired or failed), unhooks it from the children that have not fired
+    and forgets them. The usual timed wait, ``any_of([wake, timeout])``,
+    thus leaves no reference cycle between a never-fired child and the
+    condition, so the kernel emits no cyclic garbage. A child that
+    fires late has nothing to call; a decided condition ignores it
+    anyway.
+    """
+
+    __slots__ = ("_events",)
+
+    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _watch(self, events: list[Event]) -> None:
+        self._events = events
+        if not events:
+            self.succeed({})
+            return
+        on_child = self._on_child
+        for event in events:
+            event.add_callback(on_child)
+            if self._value is not Event._PENDING:
+                break  # an already-processed child decided it
+
+    def _release(self) -> None:
+        on_child = self._on_child
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None and on_child in callbacks:
+                callbacks.remove(on_child)
+        self._events = None
+
+
+class AnyOf(_Condition):
     """Fires when the first of ``events`` fires.
 
     Value is a dict mapping the fired event(s) to their values (events
     that fired at the same instant are all included).
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
+        self._watch(list(events))
 
     def _on_child(self, event: Event) -> None:
         if self._value is not Event._PENDING:
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        fired = {e: e._value for e in self._events if e._processed and e._ok}
-        self.succeed(fired)
+        else:
+            self.succeed(
+                {e: e._value for e in self._events if e._processed and e._ok}
+            )
+        self._release()
 
 
-class AllOf(Event):
+class AllOf(_Condition):
     """Fires when all of ``events`` have fired successfully."""
 
-    __slots__ = ("_events", "_remaining")
+    __slots__ = ("_remaining",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
+        events = list(events)
+        self._remaining = len(events)
+        self._watch(events)
 
     def _on_child(self, event: Event) -> None:
         if self._value is not Event._PENDING:
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
+        else:
+            self._remaining -= 1
+            if self._remaining:
+                return
             self.succeed({e: e._value for e in self._events})
+        self._release()
 
 
 class Simulator:

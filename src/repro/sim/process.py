@@ -113,12 +113,17 @@ class Process(Event):
             else:
                 target = self._throw(trigger._value)
         except StopIteration as stop:
+            # A finished process drops its cached bound method (a
+            # self-reference), so it leaves no cyclic garbage behind.
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:
+            self._resume_cb = None
             self.fail(ProcessError(f"process {self.name!r} died on interrupt: {exc}"))
             return
         except BaseException as exc:  # propagate real errors loudly
+            self._resume_cb = None
             self.fail(exc)
             raise
         if not isinstance(target, Event):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder
@@ -51,6 +51,9 @@ class Wnic:
             (sim.now, self._state)
         ]
         self.wake_count = 0
+        #: ``wnic.transitions`` counter handles by target state,
+        #: resolved on first use (see Recorder.resolve_counter).
+        self._transition_handles: dict[WnicState, Any] = {}
 
     @property
     def state(self) -> WnicState:
@@ -89,9 +92,12 @@ class Wnic:
             self.sim.now, "wnic.transition", owner=self.owner,
             state=state.value,
         )
-        self.obs.inc(
-            "wnic.transitions", owner=self.owner, to_state=state.value
-        )
+        handle = self._transition_handles.get(state)
+        if handle is None:
+            handle = self._transition_handles[state] = self.obs.resolve_counter(
+                "wnic.transitions", owner=self.owner, to_state=state.value
+            )
+        handle.inc()
         if (
             state == WnicState.SLEEP
             and previous is not None

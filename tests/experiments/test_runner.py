@@ -1,8 +1,11 @@
 """Integration tests for the experiment runner (small scale)."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import runner
 from repro.experiments.runner import (
     ClientSpec,
     ExperimentConfig,
@@ -143,3 +146,45 @@ class TestMixedExperiments:
             bad.reports[0].missed_schedules
             > good.reports[0].missed_schedules
         )
+
+
+class TestCollectorPolicy:
+    """A run pauses the cyclic collector and always restores its state."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_the_run_and_restored(self, monkeypatch):
+        seen = []
+        real_build = runner.build_scenario
+
+        def build(config):
+            seen.append(gc.isenabled())
+            return real_build(config)
+
+        monkeypatch.setattr(runner, "build_scenario", build)
+        gc.enable()
+        run_experiment(video_only([56], duration_s=1.0, seed=1))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        run_experiment(video_only([56], duration_s=1.0, seed=1))
+        assert not gc.isenabled()
+
+    def test_restored_when_the_run_raises(self, monkeypatch):
+        def build(config):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(runner, "build_scenario", build)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            run_experiment(video_only([56], duration_s=1.0, seed=1))
+        assert gc.isenabled()

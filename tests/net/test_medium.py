@@ -6,6 +6,8 @@ from repro.errors import NetworkError
 from repro.net.addr import BROADCAST_IP, Endpoint
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
+from repro.net.packet import Packet
+from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
 from repro.sim import RngStreams, Simulator, TraceRecorder
 from repro.units import mbps
@@ -147,3 +149,69 @@ def test_frame_trace_records_timing_and_sizes():
     assert fields["end"] - fields["start"] == pytest.approx(
         medium.airtime(400 + 62)
     )
+
+
+def _record_arrivals(node, order):
+    node.taps.insert(0, lambda p, i: (order.append(node.name), False)[1])
+
+
+def test_unicast_delivery_follows_attach_order_across_roaming():
+    # The receiver index visits only the monitor and the addressee, but
+    # in attach order, as a scan of every station would: a station that
+    # roams away and back now hears frames after the monitor.
+    sim, medium, gateway, clients = wireless_cell(n_clients=2)
+    monitor = MonitoringStation(sim)
+    monitor.attach_to(medium)
+    order = []
+    _record_arrivals(clients[0], order)
+    _record_arrivals(monitor, order)
+    sender = UdpSocket(gateway, 5000)
+    sender.sendto(100, Endpoint(clients[0].ip, 7000))
+    sim.run()
+    assert order == ["c0", "monitor"]
+
+    iface = clients[0].interfaces["wl0"]
+    medium.detach(iface)
+    medium.attach(iface)
+    order.clear()
+    sender.sendto(100, Endpoint(clients[0].ip, 7000))
+    sim.run()
+    assert order == ["monitor", "c0"]
+    assert len(monitor.frames) == 2
+
+
+def test_detach_keeps_a_shared_address_reachable():
+    sim, medium, gateway, clients = wireless_cell(n_clients=2)
+    twin = Node(sim, "twin", clients[0].ip)
+    twin_iface = twin.add_interface("wl0")
+    medium.attach(twin_iface)
+    medium.detach(clients[0].interfaces["wl0"])
+    order = []
+    _record_arrivals(twin, order)
+    _record_arrivals(gateway, order)
+    UdpSocket(clients[1], 5000).sendto(100, Endpoint(twin.ip, 7000))
+    sim.run()
+    # Still a station address: the frame is not bounced to the gateway.
+    assert order == ["twin"]
+
+
+def test_promiscuous_is_fixed_while_attached():
+    sim, medium, gateway, clients = wireless_cell(n_clients=1)
+    iface = clients[0].interfaces["wl0"]
+    with pytest.raises(NetworkError):
+        iface.promiscuous = True
+    medium.detach(iface)
+    iface.promiscuous = True
+    medium.attach(iface)
+    assert iface.promiscuous
+
+
+def test_detached_interface_cannot_transmit():
+    sim, medium, gateway, clients = wireless_cell(n_clients=1)
+    iface = clients[0].interfaces["wl0"]
+    medium.detach(iface)
+    with pytest.raises(NetworkError):
+        medium.transmit(iface, Packet(
+            "udp", Endpoint(clients[0].ip, 5000), Endpoint(gateway.ip, 7000),
+            payload_size=100,
+        ))

@@ -1,9 +1,11 @@
 """Unit tests for the simulation event loop and primitive events."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, collector_paused
 
 
 class TestSimulatorClock:
@@ -159,3 +161,134 @@ class TestConditions:
         sim.all_of([t1, t2]).add_callback(lambda e: values.append(dict(e.value)))
         sim.run()
         assert values[0] == {t1: "a", t2: "b"}
+
+    def test_decided_any_of_unhooks_from_pending_children(self):
+        sim = Simulator()
+        wake = sim.event()
+        cond = sim.any_of([wake, sim.timeout(1.0)])
+        sim.run()
+        assert cond.triggered
+        assert wake.callbacks == []
+        # A child firing after the decision changes nothing.
+        wake.succeed("late")
+        sim.run()
+        assert list(cond.value.values()) == [None]
+
+    def test_any_of_with_processed_child_fires_immediately(self):
+        sim = Simulator()
+        done = sim.timeout(0.0, "done")
+        sim.run()
+        pending = sim.event()
+        cond = sim.any_of([done, pending])
+        assert cond.value == {done: "done"}
+        assert pending.callbacks == []
+
+    def test_failed_all_of_unhooks_from_pending_children(self):
+        sim = Simulator()
+        broken, pending = sim.event(), sim.event()
+        cond = sim.all_of([broken, pending])
+        cond.add_callback(lambda e: None)  # the failure is handled
+        broken.fail(ValueError("boom"))
+        sim.run()
+        assert not cond.ok
+        assert pending.callbacks == []
+
+
+def _cyclic_garbage_of(body) -> list:
+    """Objects only the cyclic collector could free after ``body()``."""
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        body()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+class TestNoCyclicGarbage:
+    """Kernel waits leave nothing for the cyclic collector to find, so
+    pausing it for a whole run (``collector_paused``) holds no dead
+    objects back."""
+
+    def test_timed_any_of_waits(self):
+        def body():
+            sim = Simulator()
+
+            def sleeper():
+                for _ in range(200):
+                    wake = sim.event()
+                    yield sim.any_of([wake, sim.timeout(0.01)])
+
+            sim.process(sleeper())
+            sim.run()
+
+        assert _cyclic_garbage_of(body) == []
+
+    def test_failed_all_of_and_finished_processes(self):
+        def body():
+            sim = Simulator()
+
+            def child():
+                yield sim.timeout(0.01)
+                return "done"
+
+            def failing_soon():
+                event = sim.event()
+                sim.call_later(0.01, lambda: event.fail(ValueError("boom")))
+                return event
+
+            def waiter():
+                yield sim.process(child())
+                # No local may hold the failed event: the exception's
+                # traceback references this frame.
+                try:
+                    yield sim.all_of([sim.event(), failing_soon()])
+                except ValueError:
+                    pass
+
+            for _ in range(20):
+                sim.process(waiter())
+            sim.run()
+
+        assert _cyclic_garbage_of(body) == []
+
+
+class TestCollectorPaused:
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_pauses_and_restores(self):
+        gc.enable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_restores_on_exception(self):
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_nested_use_keeps_the_outer_pause(self):
+        gc.enable()
+        with collector_paused():
+            with collector_paused():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled()
