@@ -11,6 +11,13 @@ in turn at its rendezvous point:
   drain its queue, clamped to [min_interval, max_interval]; when the
   maximum clamps it, allotments degrade to proportional shares.
 
+One pure function, :func:`layout_interval`, lays out every interval
+for both stacks: :class:`DynamicScheduler` feeds it the simulated
+proxy's queues, and the live asyncio proxy
+(:mod:`repro.runtime.proxy`) feeds it its socket buffers. Past the
+interval's capacity it serves a prefix of whole bursts and defers the
+rest, with :class:`BurstRotation` keeping the deferral fair.
+
 The schedule-reuse extension (paper §5 future work) can be enabled with
 ``reuse_schedules=True``: when two consecutive schedules would have the
 same relative layout, the proxy broadcasts the first with
@@ -20,23 +27,186 @@ the same layout — saving every client one schedule wake-up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import LinearCostModel
 from repro.core.policy import ClientView, PaperDynamicPolicy, SchedulingPolicy
-from repro.core.schedule import BurstSlot, Schedule
+from repro.core.schedule import (
+    SCHEDULE_HEADER_BYTES,
+    SLOT_ENTRY_BYTES,
+    BurstSlot,
+    Schedule,
+)
 from repro.errors import SchedulingError
+from repro.net.packet import MSS
 from repro.obs.metrics import BYTES_BUCKETS, RATIO_BUCKETS, SECONDS_BUCKETS
-from repro.sim.core import Event
 from repro.units import ms, us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.proxy import TransparentProxy
+    from repro.sim.core import Event
 
 #: Gap between consecutive burst slots.
 DEFAULT_SLOT_GAP_S = us(500)
 #: Time reserved between the schedule broadcast and the first slot.
 DEFAULT_SCHEDULE_GUARD_S = ms(1.5)
+
+#: One client's backlog as the layout sees it: (client, udp, tcp bytes).
+Backlog = tuple[str, int, int]
+
+
+def burst_cost(cost_model: LinearCostModel, udp_bytes: int, tcp_bytes: int) -> float:
+    """Channel time of one client's burst, ACK echoes included.
+
+    TCP data on the half-duplex cell is answered by uplink ACKs —
+    with delayed ACKs, about one per two segments — which occupy
+    the same medium the next slot needs. The paper's microbenchmark
+    calibration measured real transfers and thus absorbed this; we
+    account for it explicitly.
+    """
+    cost = cost_model.burst_cost(udp_bytes)
+    if tcp_bytes > 0:
+        cost += cost_model.burst_cost(tcp_bytes)
+        segments = -(-tcp_bytes // MSS)
+        acks = -(-segments // 2)  # delayed ACKs: one per two segments
+        cost += acks * cost_model.packet_cost(0)
+    return cost
+
+
+def layout_interval(
+    srp: float,
+    seq: int,
+    pending: Sequence[Backlog],
+    cost_model: LinearCostModel,
+    interval: Optional[float],
+    *,
+    slot_gap_s: float = DEFAULT_SLOT_GAP_S,
+    schedule_guard_s: float = DEFAULT_SCHEDULE_GUARD_S,
+    min_interval_s: float = ms(100),
+    max_interval_s: float = ms(500),
+) -> Schedule:
+    """Lay out one burst interval; pure, with no clock, queue or socket.
+
+    ``pending`` lists the admitted clients in burst order (see
+    :class:`BurstRotation`). ``interval=None`` selects the variable
+    policy, bounded by ``[min_interval_s, max_interval_s]``.
+
+    Overload: when the lead and one slot gap per client leave a fixed
+    interval no burst window, the longest prefix of ``pending`` whose
+    *whole* bursts fit is served (at least one client) and the rest is
+    deferred. A single slot that cannot fit raises
+    :class:`SchedulingError`.
+    """
+    costs = [burst_cost(cost_model, udp_b, tcp_b) for _, udp_b, tcp_b in pending]
+    lead = _lead(cost_model, len(pending), schedule_guard_s)
+    drain_all = False
+    window = 0.0
+    if interval is None:
+        total = lead + sum(costs) + slot_gap_s * len(pending)
+        # Overrun slack: if the bursts run past the advertised next SRP,
+        # the late schedule broadcast defeats every client's arrival
+        # anchor. Mirrors the fixed layout's 0.9 window factor.
+        total *= 1.1
+        interval = min(max_interval_s, max(min_interval_s, total))
+        # Every queue drains in full unless the maximum clamps the
+        # interval; then allotments degrade to proportional shares.
+        drain_all = total <= interval
+    if not drain_all:
+        window = _window(interval, lead, len(pending), slot_gap_s)
+        if window <= 0 and len(pending) > 1:
+            # Overload: keep the longest prefix of whole bursts that fits.
+            served, used = 1, costs[0]
+            while served < len(pending):
+                used += costs[served]
+                lead = _lead(cost_model, served + 1, schedule_guard_s)
+                if used > _window(interval, lead, served + 1, slot_gap_s):
+                    break
+                served += 1
+            pending, costs = pending[:served], costs[:served]
+            lead = _lead(cost_model, served, schedule_guard_s)
+            window = _window(interval, lead, served, slot_gap_s)
+        if window <= 0:
+            raise SchedulingError(
+                f"interval {interval}s cannot fit the schedule overhead"
+            )
+    total_cost = sum(costs)
+    slots = []
+    cursor = srp + lead
+    for (ip, udp_b, tcp_b), full_cost in zip(pending, costs):
+        nbytes = udp_b + tcp_b
+        share = full_cost if drain_all else window * full_cost / total_cost
+        if full_cost <= share:
+            allotted, duration = nbytes, full_cost
+        else:
+            # Scale the allotment down to what fits the share,
+            # keeping this client's udp/tcp cost ratio.
+            inflation = full_cost / max(cost_model.burst_cost(nbytes), 1e-12)
+            allotted = min(nbytes, cost_model.bytes_for(share / inflation))
+            duration = full_cost * (allotted / nbytes) if nbytes else 0.0
+        slots.append(
+            BurstSlot(
+                client_ip=ip,
+                rendezvous=cursor,
+                duration=duration,
+                bytes_allotted=allotted,
+            )
+        )
+        cursor += duration + slot_gap_s
+    return Schedule(
+        seq=seq, srp=srp, next_srp=srp + interval, slots=tuple(slots)
+    )
+
+
+def _lead(
+    cost_model: LinearCostModel, n_slots: int, schedule_guard_s: float
+) -> float:
+    """Airtime of the schedule message plus the guard before slot one."""
+    payload = SCHEDULE_HEADER_BYTES + SLOT_ENTRY_BYTES * n_slots
+    return cost_model.packet_cost(payload) + schedule_guard_s
+
+
+def _window(
+    interval: float, lead: float, n_slots: int, slot_gap_s: float
+) -> float:
+    """Burst time a fixed interval holds for ``n_slots`` slots."""
+    window = interval - lead - slot_gap_s * max(1, n_slots)
+    # Safety factor: random backoff and AP forwarding make real
+    # airtime exceed the estimate now and then; a slot that spills
+    # past the SRP delays every later client's marked packet
+    # (§3.2.2's "subsequent clients will not receive their data as
+    # scheduled").
+    return window * 0.9
+
+
+class BurstRotation:
+    """Where each interval's burst order starts, for both stacks.
+
+    The order rotates by one client per interval, so no client always
+    goes first. After an overloaded interval, the next one starts with
+    the first client deferred: with ``k`` slots per interval, every
+    backlogged client is served within ``ceil(n / k)`` intervals.
+    """
+
+    __slots__ = ("_resume",)
+
+    def __init__(self) -> None:
+        self._resume: Optional[str] = None
+
+    def order(self, pending: list[Backlog], base: int) -> list[Backlog]:
+        """``pending`` rotated by ``base``, or to the deferred client."""
+        if not pending:
+            return pending
+        rotation = base % len(pending)
+        if self._resume is not None:
+            keys = [key for key, _udp, _tcp in pending]
+            if self._resume in keys:
+                rotation = keys.index(self._resume)
+        return pending[rotation:] + pending[:rotation]
+
+    def advance(self, ordered: Sequence[Backlog], schedule: Schedule) -> None:
+        """Remember the first client ``schedule`` deferred, if any."""
+        served = len(schedule.slots)
+        self._resume = ordered[served][0] if served < len(ordered) else None
 
 
 class DynamicScheduler:
@@ -104,6 +274,7 @@ class DynamicScheduler:
         self.seq = 0
         self._last_layout: Optional[tuple] = None
         self._silenced: set[str] = set()
+        self._rotation = BurstRotation()
 
     @property
     def is_variable(self) -> bool:
@@ -111,25 +282,6 @@ class DynamicScheduler:
         return self.interval_s is None
 
     # -- schedule construction ------------------------------------------------
-
-    def client_burst_cost(self, udp_bytes: int, tcp_bytes: int) -> float:
-        """Channel time of one client's burst, ACK echoes included.
-
-        TCP data on the half-duplex cell is answered by uplink ACKs —
-        with delayed ACKs, about one per two segments — which occupy
-        the same medium the next slot needs. The paper's microbenchmark
-        calibration measured real transfers and thus absorbed this; we
-        account for it explicitly.
-        """
-        cost = self.cost_model.burst_cost(udp_bytes)
-        if tcp_bytes > 0:
-            from repro.net.packet import MSS
-
-            cost += self.cost_model.burst_cost(tcp_bytes)
-            segments = -(-tcp_bytes // MSS)
-            acks = -(-segments // 2)  # delayed ACKs: one per two segments
-            cost += acks * self.cost_model.packet_cost(0)
-        return cost
 
     def _update_silenced(self) -> None:
         """Track which clients' uplinks went quiet (and came back).
@@ -180,27 +332,19 @@ class DynamicScheduler:
             if backlog > 0 and ip not in self._silenced:
                 pending.append((ip, udp_bytes, tcp_bytes))
         pending = self._admit(pending)
-        # Rotate the burst order every interval so no client always goes
-        # first (the paper's example schedules reorder clients freely).
-        # Schedule reuse needs a *stable* order, so reuse disables it.
-        if pending and not self.reuse_schedules:
-            rotation = self.seq % len(pending)
-            pending = pending[rotation:] + pending[:rotation]
-
-        schedule_cost = self.cost_model.packet_cost(
-            24 + 16 * len(pending)  # schedule message payload
+        # Schedule reuse needs a *stable* order, so reuse rotates only
+        # past overload deferrals.
+        ordered = self._rotation.order(
+            pending, 0 if self.reuse_schedules else self.seq
         )
-        lead = schedule_cost + self.schedule_guard_s
-        if self.is_variable:
-            slots, interval = self._variable_layout(srp, lead, pending)
-        else:
-            slots, interval = self._fixed_layout(srp, lead, pending)
-        return Schedule(
-            seq=self.seq,
-            srp=srp,
-            next_srp=srp + interval,
-            slots=tuple(slots),
+        schedule = layout_interval(
+            srp, self.seq, ordered, self.cost_model, self.interval_s,
+            slot_gap_s=self.slot_gap_s, schedule_guard_s=self.schedule_guard_s,
+            min_interval_s=self.min_interval_s,
+            max_interval_s=self.max_interval_s,
         )
+        self._rotation.advance(ordered, schedule)
+        return schedule
 
     def forget_client(self, client_ip: str) -> None:
         """Drop per-client scheduling state after a shard handoff.
@@ -263,85 +407,6 @@ class DynamicScheduler:
         if chatty and admitted:
             self.proxy.obs.inc("scheduler.policy_grants", len(admitted))
         return admitted
-
-    def _variable_layout(self, srp, lead, pending):
-        durations = {
-            ip: self.client_burst_cost(udp_b, tcp_b)
-            for ip, udp_b, tcp_b in pending
-        }
-        total = (
-            lead
-            + sum(durations.values())
-            + self.slot_gap_s * len(pending)
-        )
-        # Overrun slack: if the bursts run past the advertised next SRP,
-        # the late schedule broadcast defeats every client's arrival
-        # anchor. Mirrors the fixed layout's 0.9 window factor.
-        total *= 1.1
-        interval = min(self.max_interval_s, max(self.min_interval_s, total))
-        if total > interval:
-            # Clamped at the maximum: degrade to proportional shares.
-            return self._fixed_layout(srp, lead, pending, interval=interval)
-        slots = []
-        cursor = srp + lead
-        for ip, udp_b, tcp_b in pending:
-            slots.append(
-                BurstSlot(
-                    client_ip=ip,
-                    rendezvous=cursor,
-                    duration=durations[ip],
-                    bytes_allotted=udp_b + tcp_b,
-                )
-            )
-            cursor += durations[ip] + self.slot_gap_s
-        return slots, interval
-
-    def _fixed_layout(self, srp, lead, pending, interval=None):
-        interval = interval if interval is not None else self.interval_s
-        window = interval - lead - self.slot_gap_s * max(1, len(pending))
-        # Safety factor: random backoff and AP forwarding make real
-        # airtime exceed the estimate now and then; a slot that spills
-        # past the SRP delays every later client's marked packet
-        # (§3.2.2's "subsequent clients will not receive their data as
-        # scheduled").
-        window *= 0.9
-        if window <= 0:
-            raise SchedulingError(
-                f"interval {interval}s cannot fit the schedule overhead"
-            )
-        costs = {
-            ip: self.client_burst_cost(udp_b, tcp_b)
-            for ip, udp_b, tcp_b in pending
-        }
-        total_cost = sum(costs.values())
-        slots = []
-        cursor = srp + lead
-        for ip, udp_b, tcp_b in pending:
-            nbytes = udp_b + tcp_b
-            full_cost = costs[ip]
-            share = window * full_cost / total_cost
-            if full_cost <= share:
-                allotted, duration = nbytes, full_cost
-            else:
-                # Scale the allotment down to what fits the share,
-                # keeping this client's udp/tcp cost ratio.
-                inflation = full_cost / max(
-                    self.cost_model.burst_cost(nbytes), 1e-12
-                )
-                allotted = min(
-                    nbytes, self.cost_model.bytes_for(share / inflation)
-                )
-                duration = full_cost * (allotted / nbytes) if nbytes else 0.0
-            slots.append(
-                BurstSlot(
-                    client_ip=ip,
-                    rendezvous=cursor,
-                    duration=duration,
-                    bytes_allotted=allotted,
-                )
-            )
-            cursor += duration + self.slot_gap_s
-        return slots, interval
 
     # -- execution ------------------------------------------------------------
 

@@ -21,6 +21,7 @@ import asyncio
 import time
 from typing import Any, Callable, Optional
 
+from repro.core.client import DEFAULT_MIN_SLEEP_GAP_S
 from repro.errors import OverloadError, ProxyProtocolError, SchedulingError
 from repro.obs import NULL_RECORDER, Recorder
 from repro.runtime.wire import (
@@ -199,9 +200,14 @@ class AsyncPowerClient:
         arrival = loop.time()
         if self._wake_handle is not None:
             self._wake_handle.cancel()
-        if slot is not None and slot.offset_s > 0.004:
+        if (
+            slot is not None
+            and slot.offset_s - self.early_s > DEFAULT_MIN_SLEEP_GAP_S
+        ):
             # Sleep until the burst rendezvous point (adaptive anchor:
-            # arrival time plus the schedule's relative offset).
+            # arrival time plus the schedule's relative offset). Like
+            # the simulated daemon, skip sleeps too short to pay for
+            # the wake transition.
             self.wnic.sleep()
             self._wake_handle = loop.call_at(
                 arrival + slot.offset_s - self.early_s, self.wnic.wake

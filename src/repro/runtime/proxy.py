@@ -7,9 +7,11 @@ Clients connect to the proxy's TCP port and send one header line::
 The proxy answers with a status line (``OK`` or ``ERR <reason>``),
 dials the origin server, relays the upstream direction immediately, and
 buffers the downstream direction into the client's queue. A scheduler
-task broadcasts a schedule datagram to every registered client's UDP
-control port each burst interval, then releases each client's buffered
-bytes at its rendezvous point, ending the burst with a mark datagram.
+task lays out each burst interval with the simulator's planner
+(:func:`repro.core.scheduler.layout_interval`), broadcasts the schedule
+datagram to every registered client's UDP control port, then releases
+at most each slot's allotted bytes at its rendezvous point, ending the
+burst with a mark datagram.
 
 This is the paper's §3.2 design with the kernel pieces (bridge, IPQ,
 TOS marking) replaced by the userspace substitutions listed in
@@ -46,13 +48,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.core.bandwidth_model import LinearCostModel
+from repro.core.schedule import Schedule
+from repro.core.scheduler import BurstRotation, layout_interval
 from repro.errors import ConfigurationError, SchedulingError, SocketError
 from repro.obs import BYTES_BUCKETS, NULL_RECORDER, Recorder, SECONDS_BUCKETS
 from repro.runtime.supervisor import TaskSupervisor
 from repro.runtime.wire import (
     STATUS_OK,
     RuntimeSchedule,
-    RuntimeSlot,
     decode_heartbeat,
     encode_mark,
     encode_status_error,
@@ -75,10 +79,9 @@ class AsyncProxyConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral, read back from .port
     burst_interval_s: float = 0.1
-    #: Estimated drain rate used to size slots (bytes/second).
-    drain_rate_bps: float = 12_500_000.0
-    schedule_guard_s: float = 0.002
-    slot_gap_s: float = 0.001
+    #: Estimated drain rate used to size slots (bits/second). Loopback
+    #: bursts measure ~2.2 Gbit/s (~0.34 Gbit/s under asyncio debug).
+    drain_rate_bps: float = 1_000_000_000.0
 
     # -- admission / backpressure -----------------------------------------
     #: Hard cap on simultaneously registered clients.
@@ -198,11 +201,32 @@ class _ClientState:
         if self.bytes_pending >= self.high:
             self._writable.clear()
 
-    def pop_all(self) -> list[tuple[_Connection, bytes]]:
-        chunks = list(self.queue)
-        self.queue.clear()
-        self.bytes_pending = 0
-        self._writable.set()
+    def pop(self, limit: Optional[int] = None) -> list[tuple[_Connection, bytes]]:
+        """Dequeue up to ``limit`` bytes, oldest first (all when None).
+
+        A chunk straddling the limit is split: its tail stays at the
+        head of the queue, so the owning connection counts one more
+        chunk until the caller has handed the returned piece on. The
+        origin read resumes once the queue is down to the low
+        watermark.
+        """
+        budget = self.bytes_pending if limit is None else limit
+        chunks = []
+        taken = 0
+        while self.queue and taken < budget:
+            conn, data = self.queue[0]
+            room = budget - taken
+            if len(data) > room:
+                self.queue[0] = (conn, data[room:])
+                data = data[:room]
+                conn.queued_chunks += 1
+            else:
+                self.queue.popleft()
+            chunks.append((conn, data))
+            taken += len(data)
+        self.bytes_pending -= taken
+        if self.bytes_pending <= self.low:
+            self._writable.set()
         return chunks
 
     async def wait_writable(self) -> None:
@@ -258,6 +282,10 @@ class AsyncProxy:
         self._global_writable.set()
         self._seq = 0
         self._planned_srp: Optional[float] = None
+        self._rotation = BurstRotation()
+        #: Loopback carries no per-packet airtime: slots are sized by
+        #: the drain rate alone.
+        self._cost_model = LinearCostModel(0.0, 8.0 / self.config.drain_rate_bps)
         self._epoch = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -670,7 +698,7 @@ class AsyncProxy:
         connections, and discard its buffered bytes."""
         del self._clients[client_id]
         self.evictions += 1
-        dropped = state.pop_all()
+        dropped = state.pop()
         for conn, data in dropped:
             conn.queued_chunks -= 1
             self._account_pop(len(data))
@@ -690,7 +718,6 @@ class AsyncProxy:
 
     async def _scheduler(self) -> None:
         """One supervised scheduling loop iteration per burst interval."""
-        interval = self.config.burst_interval_s
         while True:
             srp = self._now()
             if self._planned_srp is not None:
@@ -699,43 +726,42 @@ class AsyncProxy:
                     max(0.0, srp - self._planned_srp),
                     buckets=SECONDS_BUCKETS,
                 )
-            schedule = self._build_schedule(self._seq, srp)
-            self._broadcast(schedule)
+            schedule = self._plan(srp)
+            self._broadcast(RuntimeSchedule.from_schedule(schedule))
             self.broadcast_times.append(srp)
             self.schedules_sent += 1
             self._seq += 1
-            self._planned_srp = srp + interval
+            self._planned_srp = schedule.next_srp
             self.obs.inc("proxy.schedules_broadcast")
             self.obs.span(
-                self._rel(srp), self._rel(srp + interval), "interval",
+                self._rel(srp), self._rel(schedule.next_srp), "interval",
                 "proxy", seq=schedule.seq, slots=len(schedule.slots),
             )
             for slot in schedule.slots:
-                target = srp + slot.offset_s
-                delay = target - self._now()
+                delay = slot.rendezvous - self._now()
                 if delay > 0:
                     await asyncio.sleep(delay)
                 # Crash-window fix: the client may have vanished between
-                # _build_schedule and its burst; skip it, never KeyError.
-                state = self._clients.get(slot.client_id)
+                # planning and its burst; skip it, never KeyError.
+                state = self._clients.get(slot.client_ip)
                 if state is None:
                     self.obs.inc("drops", reason="vanished")
                     continue
                 self.obs.observe(
                     "scheduler.slot_lateness_s",
-                    max(0.0, self._now() - target),
+                    max(0.0, self._now() - slot.rendezvous),
                     buckets=SECONDS_BUCKETS,
-                    client=slot.client_id,
+                    client=slot.client_ip,
                 )
-                await self._burst(state, self._seq)
-            remaining = srp + interval - self._now()
+                await self._burst(state, slot.bytes_allotted, schedule.seq)
+            remaining = schedule.next_srp - self._now()
             if remaining > 0:
                 await asyncio.sleep(remaining)
 
-    def _build_schedule(self, seq: int, srp: float) -> RuntimeSchedule:
-        config = self.config
-        slots = []
-        cursor = config.schedule_guard_s
+    def _plan(self, srp: float) -> Schedule:
+        """Snapshot the queues and lay out one interval with the
+        simulator's planner (:func:`repro.core.scheduler.layout_interval`)."""
+        pending = []
         for client_id in sorted(self._clients):
             state = self._clients[client_id]
             self.obs.observe(
@@ -744,22 +770,15 @@ class AsyncProxy:
                 buckets=BYTES_BUCKETS,
                 client=client_id,
             )
-            if state.bytes_pending <= 0 or state.silenced:
-                continue
-            duration = state.bytes_pending * 8.0 / config.drain_rate_bps
-            slots.append(
-                RuntimeSlot(
-                    client_id=client_id,
-                    offset_s=cursor,
-                    duration_s=duration,
-                    nbytes=state.bytes_pending,
-                )
-            )
-            cursor += duration + config.slot_gap_s
-        return RuntimeSchedule(
-            seq=seq, srp=srp, interval_s=config.burst_interval_s,
-            slots=tuple(slots),
+            if state.bytes_pending > 0 and not state.silenced:
+                pending.append((client_id, state.bytes_pending, 0))
+        ordered = self._rotation.order(pending, self._seq)
+        schedule = layout_interval(
+            srp, self._seq, ordered, self._cost_model,
+            self.config.burst_interval_s,
         )
+        self._rotation.advance(ordered, schedule)
+        return schedule
 
     def _broadcast(self, schedule: RuntimeSchedule) -> None:
         payload = schedule.encode()
@@ -783,8 +802,9 @@ class AsyncProxy:
             return False
         return True
 
-    async def _burst(self, state: _ClientState, seq: int) -> None:
-        chunks = state.pop_all()
+    async def _burst(self, state: _ClientState, nbytes: int, seq: int) -> None:
+        """Write at most ``nbytes`` of the client's queue, then mark."""
+        chunks = state.pop(nbytes)
         sent = 0
         touched: list[_Connection] = []
         for conn, data in chunks:

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 
 
@@ -73,6 +74,25 @@ class RuntimeSchedule:
     srp: float  # proxy clock
     interval_s: float
     slots: tuple[RuntimeSlot, ...] = ()
+
+    @classmethod
+    def from_schedule(cls, schedule: Schedule) -> "RuntimeSchedule":
+        """The datagram form of a planned schedule: slot times become
+        offsets from the SRP, since clients trust only relative times."""
+        return cls(
+            seq=schedule.seq,
+            srp=schedule.srp,
+            interval_s=schedule.interval,
+            slots=tuple(
+                RuntimeSlot(
+                    client_id=slot.client_ip,
+                    offset_s=slot.rendezvous - schedule.srp,
+                    duration_s=slot.duration,
+                    nbytes=slot.bytes_allotted,
+                )
+                for slot in schedule.slots
+            ),
+        )
 
     def slot_for(self, client_id: str) -> Optional[RuntimeSlot]:
         """This client's reservation, or None."""

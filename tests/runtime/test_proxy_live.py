@@ -12,6 +12,7 @@ import socket
 
 import pytest
 
+from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
 from repro.runtime.client import AsyncPowerClient
@@ -23,8 +24,9 @@ from repro.runtime.proxy import (
     KIND_SCHEDULE,
     AsyncProxy,
     AsyncProxyConfig,
+    _ClientState,
+    _Connection,
 )
-from repro.runtime.wire import RuntimeSchedule, RuntimeSlot
 
 from tests.runtime.conftest import run_strict
 
@@ -217,14 +219,14 @@ class TestLiveProxy:
             proxy = AsyncProxy(_fast_config(), obs=recorder)
             await proxy.start()
 
-            def haunted_schedule(seq, srp):
-                return RuntimeSchedule(
-                    seq=seq, srp=srp,
-                    interval_s=proxy.config.burst_interval_s,
-                    slots=(RuntimeSlot("never-registered", 0.001, 0.001, 64),),
+            def haunted_plan(srp):
+                return Schedule(
+                    seq=0, srp=srp,
+                    next_srp=srp + proxy.config.burst_interval_s,
+                    slots=(BurstSlot("never-registered", srp + 0.001, 0.001, 64),),
                 )
 
-            proxy._build_schedule = haunted_schedule
+            proxy._plan = haunted_plan
             try:
                 await asyncio.sleep(0.3)  # several scheduler iterations
             finally:
@@ -298,6 +300,91 @@ class TestLiveProxy:
         assert len(payload) == 60_000
         assert client.marks_heard == 0
         assert client.schedules_heard > 0
+
+
+class _RecordingWriter:
+    """A client writer that keeps what it is given."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def is_closing(self) -> bool:
+        return False
+
+
+class TestBurstAllotment:
+    def test_burst_writes_at_most_its_allotment(self):
+        """A burst splits the chunk at its allotment; the tail stays
+        queued, still counted against its connection, for the next one."""
+
+        async def scenario():
+            proxy = AsyncProxy(_fast_config())
+            state = _ClientState(
+                "c0", ("127.0.0.1", 9), high=1 << 20, low=1 << 10, now=0.0
+            )
+            writer = _RecordingWriter()
+            conn = _Connection(state, writer, _RecordingWriter())
+            payload = bytes(range(256)) * 120  # 30,720 bytes, 4 chunks
+            for start in range(0, len(payload), 10_000):
+                chunk = payload[start:start + 10_000]
+                state.push(conn, chunk)
+                proxy._account_push(len(chunk))
+            await proxy._burst(state, 15_000, seq=0)
+            first = bytes(writer.data)
+            left = (state.bytes_pending, conn.queued_chunks)
+            await proxy._burst(state, 1 << 20, seq=1)
+            return payload, first, left, bytes(writer.data), state, conn, proxy
+
+        payload, first, left, total, state, conn, proxy = run_strict(scenario())
+        assert first == payload[:15_000]
+        assert left == (len(payload) - 15_000, 3)
+        assert total == payload
+        assert (state.bytes_pending, conn.queued_chunks) == (0, 0)
+        assert proxy._buffered_bytes == 0
+
+    @pytest.mark.timeout(60)
+    def test_live_bursts_honour_their_slots(self):
+        """With a drain rate that fits ~22 kB per 50 ms interval, a
+        100 kB response leaves in several allotment-sized bursts."""
+
+        async def scenario():
+            origin = SpeedTestOrigin()
+            origin_port = await origin.start()
+            proxy = AsyncProxy(_fast_config(drain_rate_bps=4_000_000.0))
+            bursts = []
+            burst = proxy._burst
+
+            async def recording_burst(state, nbytes, seq):
+                before = state.bytes_sent
+                await burst(state, nbytes, seq)
+                bursts.append((nbytes, state.bytes_sent - before))
+
+            proxy._burst = recording_burst
+            await proxy.start()
+            client = AsyncPowerClient("slow")
+            await client.start()
+            try:
+                payload = await client.fetch(
+                    "127.0.0.1", proxy.port, ("127.0.0.1", origin_port),
+                    request=b"GET 100000\n", expect_bytes=100_000,
+                )
+            finally:
+                await proxy.stop()
+                client.stop()
+                await origin.stop()
+            return payload, bursts
+
+        payload, bursts = run_strict(scenario())
+        assert len(payload) == 100_000
+        assert all(sent <= allotted for allotted, sent in bursts)
+        assert sum(sent for _allotted, sent in bursts) == 100_000
+        assert sum(1 for _allotted, sent in bursts if sent) >= 100_000 // 22_000
 
 
 class TestTeardown:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import SchedulingError
 from repro.runtime.wire import (
     RuntimeSchedule,
@@ -26,6 +27,23 @@ def make_schedule():
 class TestRuntimeSchedule:
     def test_encode_decode_round_trip(self):
         schedule = make_schedule()
+        assert RuntimeSchedule.decode(schedule.encode()) == schedule
+
+    def test_from_schedule_turns_slot_times_into_srp_offsets(self):
+        planned = Schedule(
+            seq=3, srp=123.5, next_srp=123.625,
+            slots=(
+                BurstSlot("client-0", 123.5 + 0.0025, 0.02, 4096),
+                BurstSlot("client-1", 123.5 + 0.025, 0.03, 8192),
+            ),
+        )
+        schedule = RuntimeSchedule.from_schedule(planned)
+        assert (schedule.seq, schedule.srp) == (3, 123.5)
+        assert schedule.interval_s == pytest.approx(0.125)
+        assert schedule.slots == (
+            RuntimeSlot("client-0", pytest.approx(0.0025), 0.02, 4096),
+            RuntimeSlot("client-1", pytest.approx(0.025), 0.03, 8192),
+        )
         assert RuntimeSchedule.decode(schedule.encode()) == schedule
 
     def test_slot_for(self):
