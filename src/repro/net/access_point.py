@@ -38,45 +38,44 @@ DEFAULT_BASE_DELAY_S = us(300)
 class _ForwardPath:
     """One store-and-forward direction of the AP.
 
-    A callback chain rather than a ``Store``-fed generator process —
-    every packet of every flow crosses the AP, so this is one of the
-    busiest spots in a sweep. The heap-push pattern matches the old
-    generator exactly (one wakeup push when an idle path accepts a
-    packet, one jitter-delay push per packet, one wakeup push when a
-    send finds the queue non-empty; the jitter RNG is drawn when the
-    wakeup fires), so schedules stay byte-identical. ``queue`` holds
-    waiting packets only — the packet being delayed is ``_in_flight``,
-    mirroring how the old Store handed the head item to the waiting
-    getter immediately.
+    A callback chain: an idle path draws the forwarding delay when it
+    accepts a packet and pushes the send directly; a send that finds
+    waiting packets draws the next delay and pushes the next send. One
+    heap push per packet. The old chain drew the delay in a delay-0
+    wakeup event instead; those wakeups fired in the order they were
+    pushed, which is the order of the accept/send calls that now draw,
+    so the shared ``ap-jitter`` stream yields the same values to the
+    same packets. Known gap (DESIGN.md §11): the send is pushed at the
+    accept instant, not one delay-0 hop later, so on an exact float
+    tie it fires before an event pushed in between. ``queue`` holds
+    waiting packets only — the packet being delayed rides its send
+    event.
     """
 
-    __slots__ = ("ap", "out_iface", "queue", "busy", "_in_flight")
+    __slots__ = ("ap", "out_iface", "queue", "busy")
 
     def __init__(self, ap: "AccessPoint", out_iface: Interface) -> None:
         self.ap = ap
         self.out_iface = out_iface
         self.queue: deque[Packet] = deque()
         self.busy = False
-        self._in_flight: Optional[Packet] = None
 
     def accept(self, packet: Packet) -> None:
         if self.busy:
             self.queue.append(packet)
         else:
             self.busy = True
-            self._in_flight = packet
-            self.ap.sim.call_later(0.0, self._delay)
+            ap = self.ap
+            ap.sim.call_later1(ap._forwarding_delay(), self._send, packet)
 
-    def _delay(self) -> None:
-        self.ap.sim.call_later(self.ap._forwarding_delay(), self._send)
-
-    def _send(self) -> None:
-        self.out_iface.send(self._in_flight)
+    def _send(self, packet: Packet) -> None:
+        self.out_iface.send(packet)
         if self.queue:
-            self._in_flight = self.queue.popleft()
-            self.ap.sim.call_later(0.0, self._delay)
+            ap = self.ap
+            ap.sim.call_later1(
+                ap._forwarding_delay(), self._send, self.queue.popleft()
+            )
         else:
-            self._in_flight = None
             self.busy = False
 
 

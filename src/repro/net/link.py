@@ -7,7 +7,6 @@ loss experiments (the paper's Netfilter/DummyNet runs).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import NetworkError
@@ -25,54 +24,55 @@ DropFn = Callable[[Packet], bool]
 class _Direction:
     """One direction of a link: FIFO serialization + delayed delivery.
 
-    Implemented as a callback chain rather than a generator process —
-    links carry hundreds of thousands of packets per sweep, and the
-    Process/Timeout machinery was pure overhead here. The heap-push
-    pattern (one delay-0 start push per busy period, then per packet a
-    serialization push followed by a delivery push) matches the old
-    generator version exactly, so event ordering is byte-identical.
+    A fixed-rate FIFO needs no events of its own. A packet enqueued at
+    ``now`` finishes serializing at ``done = max(now, free_at) +
+    transmit_time(...)``, where ``free_at`` is the previous packet's
+    ``done``; that is the same float expression the old chain evaluated
+    (a delay-0 start push, a serialization push, a delivery push), so
+    delivery times are bit-equal. A hook-free direction therefore
+    pushes one event per packet, its arrival at ``done + latency``. A
+    direction with a drop or jitter hook pushes one event at ``done``,
+    which runs the hooks at the simulated time they always ran, and
+    then the arrival. Known gap (DESIGN.md §11): an event pushed at
+    enqueue gets an earlier seq than the old chain gave it, so on an
+    exact float tie it now fires before an event that was scheduled
+    while this packet queued or serialized.
     """
 
-    __slots__ = ("link", "dst_iface", "queue", "busy", "_in_flight")
+    __slots__ = ("link", "dst_iface", "free_at")
 
     def __init__(self, link: "Link", dst_iface: Interface) -> None:
         self.link = link
         self.dst_iface = dst_iface
-        self.queue: deque[Packet] = deque()
-        self.busy = False
-        self._in_flight: Optional[Packet] = None
+        self.free_at = 0.0
 
     def enqueue(self, packet: Packet) -> None:
-        self.queue.append(packet)
-        if not self.busy:
-            self.busy = True
-            self.link.sim.call_later(0.0, self._next)
-
-    def _next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        packet = self.queue.popleft()
-        self._in_flight = packet
-        self.link.sim.call_later(
-            transmit_time(packet.wire_size, self.link.rate_bps),
-            self._transmitted,
-        )
-
-    def _transmitted(self) -> None:
         link = self.link
-        packet = self._in_flight
-        self._in_flight = None
+        sim = link.sim
+        now = sim.now
+        free_at = self.free_at
+        done = (free_at if free_at > now else now) + transmit_time(
+            packet.wire_size, link.rate_bps
+        )
+        self.free_at = done
+        if link.drop is None and link.jitter is None:
+            sim.call_at1(done + link.latency, self._arrive, packet)
+        else:
+            sim.call_at1(done, self._transmitted, packet)
+
+    def _transmitted(self, packet: Packet) -> None:
+        link = self.link
         if link.drop is not None and link.drop(packet):
             link.counters.incr(link.drop_key)
-            self._next()
             return
         delay = link.latency
         if link.jitter is not None:
             delay += max(0.0, link.jitter(packet))
-        link.packets_delivered += 1
-        link.sim.call_later1(delay, self.dst_iface.deliver, packet)
-        self._next()
+        link.sim.call_later1(delay, self._arrive, packet)
+
+    def _arrive(self, packet: Packet) -> None:
+        self.link.packets_delivered += 1
+        self.dst_iface.deliver(packet)
 
 
 class Link:
@@ -110,6 +110,8 @@ class Link:
         #: medium all report through one API.
         self.counters = counters if counters is not None else FaultCounters()
         self.drop_key = drop_key
+        #: Packets that arrived at the far end (not those still on the
+        #: wire when a bounded ``run(until=...)`` stops).
         self.packets_delivered = 0
         self._ifaces: Optional[tuple[Interface, Interface]] = None
         self._directions: dict[Interface, _Direction] = {}

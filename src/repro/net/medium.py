@@ -177,14 +177,15 @@ class WirelessMedium:
         self._queue.append((src_iface, packet))
         if not self._busy:
             self._busy = True
-            self.sim.call_later(0.0, self._next_frame)
+            self._next_frame()
 
-    # The medium's arbitration loop is a callback chain (one airtime
-    # timer per frame), not a generator process: at ~75k frames per
-    # cold figure-4 run the Process/Timeout machinery dominated the
-    # profile. Heap pushes happen in the same order as the old
-    # generator (start push, then one occupancy push per frame), so
-    # frame ordering — and every RNG backoff draw — is byte-identical.
+    # The medium's arbitration loop is a callback chain: one airtime
+    # timer per frame and nothing else. An idle medium starts the frame
+    # in ``transmit`` itself; the old delay-0 start push only deferred
+    # it within the same instant, while later senders queued behind it,
+    # so frame order — and every RNG backoff draw — is unchanged. The
+    # airtime timer is pushed one hop earlier within the instant, the
+    # exact-tie gap DESIGN.md §11 describes.
 
     def _next_frame(self) -> None:
         if not self._queue:

@@ -22,10 +22,17 @@ deliberately flat:
   directly rather than chaining through ``Event.__init__`` and
   ``_enqueue``.
 
-Every shortcut preserves the enqueue *order* (one heap push per
-scheduling action, in the same program order), which is what keeps
-same-seed runs byte-identical with the pre-optimization kernel — the
-contract pinned by ``tests/sim/test_kernel_equivalence.py``.
+Each entry point costs exactly one heap push, and entries fire in
+``(time, priority, seq)`` order. That order is what keeps same-seed
+runs byte-identical with the pre-optimization kernel — the contract
+pinned by ``tests/sim/test_kernel_equivalence.py``. A caller may drop
+a push that carries no work (a delay-0 hop, a timer whose only job is
+to push the next one) or push an entry earlier, provided its time is
+the bit-equal float: seq values are only compared, so every other
+entry keeps its relative order. The pushed-early entry itself can only
+move ahead of entries with the exact same ``(time, priority)`` that
+were pushed between its new and old push instants; DESIGN.md §11 lists
+where the network paths accept that gap.
 """
 
 from __future__ import annotations
