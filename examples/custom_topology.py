@@ -22,7 +22,7 @@ from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator, TraceRecorder
+from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
 from repro.wnic import WAVELAN_2_4GHZ, Wnic
 
@@ -30,24 +30,23 @@ from repro.wnic import WAVELAN_2_4GHZ, Wnic
 def main() -> None:
     sim = Simulator()
     streams = RngStreams(seed=42)
-    trace = TraceRecorder()
 
     # -- wireless cell ----------------------------------------------------
-    medium = WirelessMedium(sim, rng=streams.get("backoff"), trace=trace)
+    medium = WirelessMedium(sim, rng=streams.get("backoff"))
     ap = AccessPoint(sim, "ap", "10.0.0.254", rng=streams.get("ap"))
     medium.attach(ap.wireless, gateway=True)
     monitor = MonitoringStation(sim)
     monitor.attach_to(medium)
 
     # -- client -----------------------------------------------------------
-    client = Node(sim, "tablet", "10.0.1.1", trace=trace)
+    client = Node(sim, "tablet", "10.0.1.1")
     wl0 = client.add_interface("wl0")
     medium.attach(wl0)
     client.set_default_route(wl0)
-    wnic = Wnic(sim, "tablet", trace=trace)
+    wnic = Wnic(sim, "tablet")
 
     # -- proxy + server ---------------------------------------------------
-    proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {"10.0.1.1"}, trace=trace)
+    proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {"10.0.1.1"})
     Link(sim, mbps(100), ms(0.1)).attach(proxy.air, ap.wired)
     server = Node(sim, "server", "10.0.2.1")
     server_iface = server.add_interface("eth0")
@@ -77,7 +76,8 @@ def main() -> None:
 
     # -- postmortem energy analysis ----------------------------------------
     analyzer = EnergyAnalyzer(
-        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now, trace=trace
+        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now,
+        misses=medium.misses,
     )
     report = analyzer.analyze("tablet", "10.0.1.1", wnic, kind="video")
     breakdown = report.breakdown

@@ -31,8 +31,9 @@ API_SCOPE: tuple[str, ...] = ("core/", "energy/")
 #: Modules allowed to touch entropy sources (the blessed RNG factory).
 ENTROPY_ALLOWED: tuple[str, ...] = ("sim/random.py",)
 
-#: Modules allowed to call ``TraceRecorder.record`` directly — the
-#: Recorder facade itself and the trace module it wraps.
+#: Modules allowed to write (``record``, OBS001) or read (``query`` /
+#: ``count`` / ``all``, OBS002) trace rows directly — the Recorder
+#: facade and exporters, and the trace module they wrap.
 OBS_ALLOWED: tuple[str, ...] = ("obs/", "sim/trace.py")
 
 #: Artifact driver modules that must execute runs through the sweep

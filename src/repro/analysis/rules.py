@@ -8,7 +8,8 @@ grouped by invariant family:
 - ``ERR``: error taxonomy (``repro.errors`` classes, narrow excepts)
 - ``SIM``: simulated-time purity (no blocking I/O in sim processes)
 - ``API``: typed public surface (annotations on public functions)
-- ``OBS``: observability (telemetry flows through the Recorder facade)
+- ``OBS``: observability (telemetry flows through the Recorder facade,
+  and no result reads it back)
 - ``SWP``: sweep orchestration (artifact drivers fan out through the
   sweep engine, never the raw simulation runner)
 - ``CAM``: campus sharding (cross-shard client state moves only
@@ -551,8 +552,26 @@ def api001_public_annotations(ctx: ModuleContext) -> Iterator[RawFinding]:
 
 
 # ---------------------------------------------------------------------------
-# OBS001 — one instrumentation path
+# OBS001 / OBS002 — one instrumentation path, written only
 # ---------------------------------------------------------------------------
+
+
+def _trace_calls(
+    ctx: ModuleContext, methods: frozenset[str]
+) -> Iterator[tuple[ast.Call, str]]:
+    """Calls of ``methods`` on a ``trace``/``_trace`` base outside
+    ``obs_allowed``, with the callee's dotted name."""
+    if ctx.in_scope(ctx.config.obs_allowed):
+        return
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr in methods):
+            continue
+        base = _dotted(func.value)
+        if base.split(".")[-1] in {"trace", "_trace"}:
+            yield node, f"{base}.{func.attr}"
 
 
 @rule(
@@ -563,24 +582,33 @@ def api001_public_annotations(ctx: ModuleContext) -> Iterator[RawFinding]:
     "bypass metrics and spans and fork the observability stream.",
 )
 def obs001_recorder_facade(ctx: ModuleContext) -> Iterator[RawFinding]:
-    for prefix in ctx.config.obs_allowed:
-        if ctx.module_path.startswith(prefix):
-            return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "record"):
-            continue
-        base = _dotted(func.value)
-        last = base.split(".")[-1] if base else ""
-        if last in {"trace", "_trace"}:
-            yield (
-                node.lineno, node.col_offset,
-                f"direct {base}.record(...) bypasses the obs facade; use "
-                "Recorder.event() (repro.obs) so metrics and spans stay "
-                "in one stream",
-            )
+    for node, callee in _trace_calls(ctx, frozenset({"record"})):
+        yield (
+            node.lineno, node.col_offset,
+            f"direct {callee}(...) bypasses the obs facade; use "
+            "Recorder.event() (repro.obs) so metrics and spans stay "
+            "in one stream",
+        )
+
+
+@rule(
+    "OBS002",
+    "results never read the trace",
+    "Trace rows exist only under some obs modes (none under 'metrics' "
+    "or 'off'), so code that queries them computes results that change "
+    "with the obs mode. Read the component's own record instead "
+    "(WirelessMedium.misses, MonitoringStation.frames, counters).",
+)
+def obs002_trace_is_write_only(ctx: ModuleContext) -> Iterator[RawFinding]:
+    for node, callee in _trace_calls(
+        ctx, frozenset({"query", "count", "all"})
+    ):
+        yield (
+            node.lineno, node.col_offset,
+            f"{callee}(...) reads trace rows, which the "
+            "'metrics' and 'off' obs modes never record; read the "
+            "component's own record instead",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def cmd_trace(args) -> int:
         args.trace_out = "trace.json"
     result = run_experiment(build_experiment_config(args))
     _export_observability(result, args)
-    events = len(result.obs.trace.all()) if result.obs.trace else 0
+    events = len(result.obs.trace) if result.obs.trace is not None else 0
     print(
         f"simulated {result.duration_s:.1f}s: {events} events, "
         f"{len(result.obs.spans)} spans "
@@ -685,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--obs", choices=("full", "trace", "metrics", "off"),
             default="full",
-            help="observability mode ('metrics' keeps counters but no "
-                 "per-event rows — the 1k-client smoke mode)",
+            help="observability mode: what the run can export ('metrics' "
+                 "keeps counters but no per-event rows — the 1k-client "
+                 "smoke mode); results are identical in every mode",
         )
         campus = command.add_argument_group(
             "campus topology (multi-cell roaming; see repro.campus and "

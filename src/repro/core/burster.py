@@ -24,11 +24,10 @@ from repro.core.schedule import BurstSlot
 from repro.net.packet import Packet
 from repro.net.tcp import TcpConnection
 from repro.obs.metrics import RATIO_BUCKETS
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
-    from repro.sim.trace import TraceRecorder
 
 
 class MarkingController:
@@ -93,12 +92,10 @@ class Burster:
     def __init__(
         self,
         node: "Node",
-        trace: Optional["TraceRecorder"] = None,
         obs: Optional[Recorder] = None,
     ):
         self.node = node
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._controllers: dict[TcpConnection, MarkingController] = {}
         self.bursts_sent = 0
         self.bytes_burst = 0

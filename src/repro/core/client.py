@@ -37,7 +37,6 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.obs.recorder import Recorder
-from repro.sim.trace import TraceRecorder
 from repro.units import ms
 from repro.wnic.states import Wnic
 
@@ -64,7 +63,6 @@ class PowerAwareClient:
         node: Node,
         wnic: Wnic,
         compensator: Optional[DelayCompensator] = None,
-        trace: Optional[TraceRecorder] = None,
         min_sleep_gap_s: float = DEFAULT_MIN_SLEEP_GAP_S,
         schedule_grace_s: float = DEFAULT_SCHEDULE_GRACE_S,
         wireless_iface: str = "wl0",
@@ -80,13 +78,7 @@ class PowerAwareClient:
         self.sim = node.sim
         self.wnic = wnic
         self.compensator = compensator or AdaptiveCompensator()
-        if obs is not None:
-            self.obs = obs
-        elif trace is not None:
-            self.obs = Recorder.wrap(trace)
-        else:
-            self.obs = node.obs
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else node.obs
         self.min_sleep_gap_s = min_sleep_gap_s
         self.schedule_grace_s = schedule_grace_s
         self.fallback_after_misses = fallback_after_misses

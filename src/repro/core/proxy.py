@@ -38,7 +38,6 @@ from repro.net.tcp import TcpConnection
 from repro.net.udp import UdpSocket
 from repro.obs.recorder import Recorder
 from repro.sim.core import Event, Simulator
-from repro.sim.trace import TraceRecorder
 from repro.units import ms
 
 
@@ -87,7 +86,6 @@ class TransparentProxy(Node):
         name: str,
         ip: str,
         client_ips: set[str],
-        trace: Optional[TraceRecorder] = None,
         tcp_mode: str = "split",
         obs: Optional[Recorder] = None,
     ) -> None:
@@ -98,7 +96,7 @@ class TransparentProxy(Node):
             design, kept for the ablation), or "bridge" (TCP flows
             through untouched).
         """
-        super().__init__(sim, name, ip, trace=trace, obs=obs)
+        super().__init__(sim, name, ip, obs=obs)
         if not client_ips:
             raise ConfigurationError("proxy needs at least one client ip")
         if tcp_mode not in ("split", "passthrough", "bridge"):

@@ -27,7 +27,6 @@ from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.obs.recorder import Recorder
 from repro.sim.core import Event
-from repro.sim.trace import TraceRecorder
 from repro.units import ms, us
 from repro.wnic.states import Wnic
 
@@ -210,7 +209,6 @@ class StaticClient:
         early_s: float = ms(6),
         min_sleep_gap_s: float = ms(4),
         slot_grace_s: float = ms(10),
-        trace: Optional[TraceRecorder] = None,
         wireless_iface: str = "wl0",
         obs: Optional[Recorder] = None,
     ) -> None:
@@ -220,13 +218,7 @@ class StaticClient:
         self.early_s = early_s
         self.min_sleep_gap_s = min_sleep_gap_s
         self.slot_grace_s = slot_grace_s
-        if obs is not None:
-            self.obs = obs
-        elif trace is not None:
-            self.obs = Recorder.wrap(trace)
-        else:
-            self.obs = node.obs
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else node.obs
         node.interfaces[wireless_iface].rx_gate = wnic.can_receive
         self._tx_guard = TransmitWakeGuard(node, wnic)
         self._layout: Optional[StaticLayout] = None

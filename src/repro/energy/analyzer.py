@@ -6,7 +6,8 @@ Reads the monitoring station's capture after a run and produces one
 * high-/low-power residency from the client's WNIC transition log,
 * receive/transmit residency from frame airtime overlapped with the
   awake timeline,
-* packets lost (UDP) / dropped (TCP) from the medium's miss records,
+* packets lost (UDP) / dropped (TCP) from the medium's miss list
+  (:attr:`~repro.net.medium.WirelessMedium.misses`),
 * energy under a :class:`~repro.wnic.power.PowerModel`, versus the
   naive always-on client over the identical traffic.
 """
@@ -24,8 +25,8 @@ from repro.energy.model import (
 )
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
+from repro.net.medium import MissRecord
 from repro.net.sniffer import FrameRecord
-from repro.sim.trace import TraceRecorder
 from repro.wnic.power import PowerModel
 from repro.wnic.states import Wnic
 
@@ -58,8 +59,8 @@ class _FrameIndex:
     data_frames: dict[str, list[FrameRecord]] = field(default_factory=dict)
     #: src ip → total payload bytes transmitted.
     sent_payload: dict[str, int] = field(default_factory=dict)
-    #: dst ip → unicast data "medium.miss" trace rows.
-    miss_rows: dict[str, list] = field(default_factory=dict)
+    #: dst ip → misses of unicast data frames addressed to it.
+    data_misses: dict[str, list[MissRecord]] = field(default_factory=dict)
 
 
 class EnergyAnalyzer:
@@ -69,7 +70,8 @@ class EnergyAnalyzer:
     timeline; broadcast frames stamped with a cell label are then only
     charged to clients resident in that cell at the frame's start.
     Unlabeled frames (single-cell captures) are charged to everyone,
-    which reproduces the paper's single-cell accounting.
+    which reproduces the paper's single-cell accounting. ``misses`` is
+    the medium's miss list (every cell's, concatenated, in campus runs).
     """
 
     def __init__(
@@ -77,7 +79,7 @@ class EnergyAnalyzer:
         frames: Sequence[FrameRecord],
         power: PowerModel,
         duration_s: float,
-        trace: Optional[TraceRecorder] = None,
+        misses: Sequence[MissRecord] = (),
         residency: Optional[Residency] = None,
     ) -> None:
         if duration_s <= 0:
@@ -85,7 +87,7 @@ class EnergyAnalyzer:
         self.frames = list(frames)
         self.power = power
         self.duration_s = duration_s
-        self.trace = trace
+        self.misses = misses
         self.residency = residency
         self._index: Optional[_FrameIndex] = None
 
@@ -112,12 +114,9 @@ class EnergyAnalyzer:
             index.sent_payload[frame.src_ip] = (
                 index.sent_payload.get(frame.src_ip, 0) + frame.payload_size
             )
-        if self.trace is not None:
-            for row in self.trace.query("medium.miss"):
-                if not row.fields["broadcast"] and row.fields["payload"] > 0:
-                    index.miss_rows.setdefault(row.fields["dst"], []).append(
-                        row
-                    )
+        for miss in self.misses:
+            if not miss.broadcast and miss.payload > 0:
+                index.data_misses.setdefault(miss.dst, []).append(miss)
         self._index = index
         return index
 
@@ -172,9 +171,9 @@ class EnergyAnalyzer:
         """Unicast data frames (payload > 0) addressed to ``ip``."""
         return list(self._ensure_index().data_frames.get(ip, ()))
 
-    def missed_data_packets(self, ip: str) -> list:
-        """Medium miss records for unicast data addressed to ``ip``."""
-        return list(self._ensure_index().miss_rows.get(ip, ()))
+    def missed_data_packets(self, ip: str) -> list[MissRecord]:
+        """Medium misses of unicast data frames addressed to ``ip``."""
+        return list(self._ensure_index().data_misses.get(ip, ()))
 
     # -- analysis ----------------------------------------------------------
 
@@ -194,7 +193,7 @@ class EnergyAnalyzer:
         """Produce the report for one client.
 
         ``missed_schedules`` / ``early_wait_s`` / ``miss_recovery_s``
-        come from the client daemon's own counters — the trace cannot
+        come from the client daemon's own counters — the capture cannot
         distinguish *why* a client was awake, only *that* it was.
         """
         awake = wnic.awake_intervals(self.duration_s)
@@ -217,7 +216,7 @@ class EnergyAnalyzer:
         data_frames = self.data_frames_to(ip)
         missed = self.missed_data_packets(ip)
         delivered_bytes = sum(f.payload_size for f in data_frames) - sum(
-            row.fields["payload"] for row in missed
+            miss.payload for miss in missed
         )
         return ClientReport(
             name=name,

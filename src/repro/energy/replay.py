@@ -35,11 +35,11 @@ from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
 from repro.net.addr import Endpoint
+from repro.net.medium import MissRecord
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.sniffer import FrameRecord
-from repro.obs.recorder import SimRecorder
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.wnic.power import PowerModel
 from repro.wnic.states import Wnic
 
@@ -91,17 +91,13 @@ def replay_policy(
     horizon = duration_s if duration_s is not None else frames[-1].end + 0.001
 
     sim = Simulator()
-    trace = TraceRecorder()
-    recorder = SimRecorder(trace=trace)
-    node = Node(sim, f"replay-{client_ip}", client_ip, obs=recorder)
+    node = Node(sim, f"replay-{client_ip}", client_ip)
     node.add_interface("wl0")
-    wnic = Wnic(sim, node.name, obs=recorder)
-    daemon = PowerAwareClient(
-        node, wnic, compensator, obs=recorder, **(client_kwargs or {})
-    )
+    wnic = Wnic(sim, node.name)
+    daemon = PowerAwareClient(node, wnic, compensator, **(client_kwargs or {}))
 
     delivered = {"n": 0}
-    missed = {"n": 0}
+    misses: list[MissRecord] = []
 
     def deliver(frame: FrameRecord) -> None:
         if frame.src_ip == client_ip:
@@ -113,15 +109,10 @@ def replay_policy(
             delivered["n"] += 1
             node.on_receive(node.interfaces["wl0"], _rebuild_packet(frame))
         else:
-            missed["n"] += 1
-            if frame.payload_size > 0 and not frame.broadcast:
-                recorder.event(
-                    sim.now, "medium.miss",
-                    dst=client_ip, proto=frame.proto,
-                    size=frame.wire_size, payload=frame.payload_size,
-                    marked=frame.tos_marked, broadcast=frame.broadcast,
-                    packet_id=frame.packet_id,
-                )
+            misses.append(MissRecord(
+                sim.now, client_ip, frame.payload_size, frame.broadcast,
+                "sleep",
+            ))
 
     for frame in frames:
         if frame.end > horizon:
@@ -129,7 +120,9 @@ def replay_policy(
         sim.call_at(frame.end, lambda f=frame: deliver(f))
     sim.run(until=horizon)
 
-    analyzer = EnergyAnalyzer(list(frames), power, duration_s=horizon, trace=trace)
+    analyzer = EnergyAnalyzer(
+        list(frames), power, duration_s=horizon, misses=misses
+    )
     report = analyzer.analyze(
         name=node.name,
         ip=client_ip,
@@ -142,7 +135,7 @@ def replay_policy(
     return ReplayResult(
         report=report,
         frames_delivered=delivered["n"],
-        frames_missed=missed["n"],
+        frames_missed=len(misses),
         schedules_heard=daemon.schedules_heard,
         missed_schedules=daemon.missed_schedules,
     )

@@ -29,7 +29,7 @@ from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator, TraceRecorder
+from repro.sim import RngStreams, Simulator
 from repro.sweep import SweepEngine, SweepSpec
 from repro.units import kbps, mbps, ms
 from repro.wnic.power import WAVELAN_2_4GHZ
@@ -55,27 +55,26 @@ class BaselineResult:
 def _run_one(policy: str, duration_s: float, rate_bps: float, seed: int) -> BaselineResult:
     sim = Simulator()
     streams = RngStreams(seed)
-    trace = TraceRecorder()
 
-    medium = WirelessMedium(sim, rng=streams.get("backoff"), trace=trace)
+    medium = WirelessMedium(sim, rng=streams.get("backoff"))
     ap_cls = PsmAccessPoint if policy == "psm" else AccessPoint
-    ap = ap_cls(sim, "ap", "10.0.0.254", rng=streams.get("ap"), trace=trace)
+    ap = ap_cls(sim, "ap", "10.0.0.254", rng=streams.get("ap"))
     medium.attach(ap.wireless, gateway=True)
     monitor = MonitoringStation(sim)
     monitor.attach_to(medium)
 
-    client = Node(sim, "client", CLIENT_IP, trace=trace)
+    client = Node(sim, "client", CLIENT_IP)
     wl0 = client.add_interface("wl0")
     medium.attach(wl0)
     client.set_default_route(wl0)
-    wnic = Wnic(sim, "client", trace=trace)
+    wnic = Wnic(sim, "client")
 
-    server = Node(sim, "server", SERVER_IP, trace=trace)
+    server = Node(sim, "server", SERVER_IP)
     server_iface = server.add_interface("eth0")
     server.set_default_route(server_iface)
 
     if policy == "proxy":
-        proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {CLIENT_IP}, trace=trace)
+        proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {CLIENT_IP})
         Link(sim, mbps(100), ms(0.1)).attach(proxy.air, ap.wired)
         Link(sim, mbps(100), ms(0.1)).attach(proxy.lan, server_iface)
         proxy.wire_routes({SERVER_IP})
@@ -107,7 +106,8 @@ def _run_one(policy: str, duration_s: float, rate_bps: float, seed: int) -> Base
     sim.run(until=duration_s + 1.0)
 
     analyzer = EnergyAnalyzer(
-        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now, trace=trace
+        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now,
+        misses=medium.misses,
     )
     report = analyzer.analyze("client", CLIENT_IP, wnic)
     mean_latency = sum(latencies) / len(latencies) if latencies else 0.0

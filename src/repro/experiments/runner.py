@@ -170,7 +170,8 @@ class ExperimentResult:
     handoffs: int = 0
     handoff_bytes_transferred: int = 0
     handoff_bytes_dropped: int = 0
-    #: Deterministic metrics snapshot (None unless obs_mode == "full").
+    #: Deterministic metrics snapshot (None when obs_mode is "trace"
+    #: or "off", whose recorders keep no metrics).
     metrics: Optional[dict] = None
     #: The run's recorder, for exporting events/timelines postmortem.
     obs: Recorder = NULL_RECORDER
@@ -436,7 +437,9 @@ def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
         frames,
         config.power,
         duration_s=sim.now,
-        trace=scenario.trace,
+        misses=[
+            miss for cell in scenario.cells for miss in cell.medium.misses
+        ],
         residency=residency,
     )
     effective_rate = cost_model.effective_rate_bps(mss=700)

@@ -76,8 +76,8 @@ class ScenarioConfig:
     #: Observability mode: "full" (trace + metrics + spans), "trace"
     #: (trace rows only, the pre-obs baseline), "metrics" (metrics only
     #: — no per-event trace rows, the 1k-client smoke mode), or "off"
-    #: (NullRecorder; no trace, no metrics — postmortem analysis
-    #: degrades gracefully).
+    #: (NullRecorder; no trace, no metrics). The mode changes only what
+    #: a run can export; every result is identical across modes.
     obs_mode: str = "full"
     #: Optional multi-cell campus layout (see repro.campus). None — or
     #: a trivial topology — builds the legacy single-AP testbed
@@ -304,7 +304,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
             medium=cells[0].medium,
             streams=streams,
             ip_of=client_ip,
-            trace=trace,
         ).install()
         for cell in cells[1:]:
             cell.medium.faults = cells[0].medium.faults

@@ -33,7 +33,6 @@ from repro.faults.injectors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.sim.random import RngStreams
-from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.medium import WirelessMedium
@@ -100,13 +99,11 @@ class FaultController:
         medium: "WirelessMedium",
         streams: RngStreams,
         ip_of: Callable[[int], str],
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.plan = plan
         self.medium = medium
         self.streams = streams
         self.ip_of = ip_of
-        self.trace = trace
         self.counters: FaultCounters = medium.counters
         self.pipeline: Optional[FaultPipeline] = None
         self.churn: Optional[Churn] = None

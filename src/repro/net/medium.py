@@ -6,7 +6,8 @@ by the addressed station (or by the gateway — the access point — when
 the destination is not a wireless station), broadcast frames by
 everyone, and promiscuous stations (the monitoring station) record all
 of them. A station whose receive gate is closed (WNIC asleep) misses
-frames addressed to it; the medium records those misses, which is how
+frames addressed to it; the medium keeps those misses as
+:class:`MissRecord` rows in :attr:`WirelessMedium.misses`, which is how
 packet loss enters the evaluation.
 
 The airtime model is ``overhead + wire_size * 8 / rate`` plus a random
@@ -17,6 +18,7 @@ yields the ~4-5 Mbps effective goodput the paper reports.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,9 +28,8 @@ from repro.faults.counters import FaultCounters
 from repro.net.node import Interface
 from repro.net.packet import Packet
 from repro.obs.metrics import BYTES_BUCKETS
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.units import ms, transmit_time
 
 #: Default nominal channel rate (802.11b).
@@ -37,6 +38,22 @@ DEFAULT_RATE_BPS = 11e6
 DEFAULT_FRAME_OVERHEAD_S = ms(0.8)
 #: Default upper bound of the uniform contention backoff.
 DEFAULT_MAX_BACKOFF_S = ms(0.4)
+
+
+@dataclass(frozen=True, slots=True)
+class MissRecord:
+    """One frame an addressed station did not receive.
+
+    ``cause`` is ``"sleep"`` (WNIC asleep), ``"channel"`` (faded
+    receive channel), ``"churn"`` (out of range) or ``"handoff"`` (the
+    addressee roamed away mid-flight).
+    """
+
+    time: float
+    dst: str
+    payload: int
+    broadcast: bool
+    cause: str
 
 
 class WirelessMedium:
@@ -49,7 +66,6 @@ class WirelessMedium:
         frame_overhead_s: float = DEFAULT_FRAME_OVERHEAD_S,
         max_backoff_s: float = DEFAULT_MAX_BACKOFF_S,
         rng: Optional[np.random.Generator] = None,
-        trace: Optional[TraceRecorder] = None,
         drop: Optional[Callable[[Packet], bool]] = None,
         counters: Optional[FaultCounters] = None,
         obs: Optional[Recorder] = None,
@@ -61,8 +77,7 @@ class WirelessMedium:
         self.frame_overhead_s = frame_overhead_s
         self.max_backoff_s = max_backoff_s
         self.rng = rng
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self.drop = drop
         self.counters = counters if counters is not None else FaultCounters()
         #: Optional fault-injection pipeline (see :mod:`repro.faults`);
@@ -107,7 +122,9 @@ class WirelessMedium:
         self._busy = False
         self._in_flight: Optional[tuple[Interface, Packet, float]] = None
         self.frames_sent = 0
-        self.frames_missed = 0
+        #: Every frame an addressed station missed, in miss order: the
+        #: medium's own loss record, independent of the obs mode.
+        self.misses: list[MissRecord] = []
         self.busy_time = 0.0
 
     # -- topology ----------------------------------------------------------
@@ -150,6 +167,11 @@ class WirelessMedium:
         """Label this medium as campus cell ``label`` for obs purposes."""
         self.cell = label
         self._cell_fields = {"cell": label} if label else {}
+
+    @property
+    def frames_missed(self) -> int:
+        """Frames an addressed station missed."""
+        return len(self.misses)
 
     @property
     def stations(self) -> tuple[Interface, ...]:
@@ -336,46 +358,35 @@ class WirelessMedium:
                 else:
                     cause = "sleep"
                     counter = "medium.sleep_miss"
-                self.frames_missed += 1
-                self.counters.incr(counter)
-                self.obs.event(
-                    end, "medium.miss",
-                    dst=iface.node.ip, proto=packet.proto,
-                    size=packet.wire_size, payload=packet.payload_size,
-                    marked=packet.tos_marked,
-                    broadcast=packet.is_broadcast,
-                    packet_id=packet.packet_id,
-                    **self._cell_fields,
-                )
-                self.obs.inc(
-                    "medium.misses",
-                    dst=iface.node.ip,
-                    cause=cause,
-                    **self._cell_fields,
-                )
+                self._miss(end, iface.node.ip, packet, cause, counter)
         if packet.is_broadcast or dst_ip in self._by_ip:
             return
         if dst_ip in self.departed:
             # The addressee roamed away mid-flight: the frame dies here
             # instead of bouncing between the gateway and the medium.
-            self.frames_missed += 1
-            self.counters.incr("campus.handoff_miss")
-            self.obs.event(
-                end, "medium.miss",
-                dst=packet.dst.ip, proto=packet.proto,
-                size=packet.wire_size, payload=packet.payload_size,
-                marked=packet.tos_marked,
-                broadcast=packet.is_broadcast,
-                packet_id=packet.packet_id,
-                **self._cell_fields,
-            )
-            self.obs.inc(
-                "medium.misses",
-                dst=packet.dst.ip,
-                cause="handoff",
-                **self._cell_fields,
-            )
+            self._miss(end, dst_ip, packet, "handoff", "campus.handoff_miss")
             return
         # Not a wireless station's address: hand it up to the gateway (AP).
         if self._gateway is not None and self._gateway is not src_iface:
             self._gateway.deliver(packet)
+
+    def _miss(
+        self, end: float, dst: str, packet: Packet, cause: str, counter: str
+    ) -> None:
+        """Record that station ``dst`` did not receive ``packet``."""
+        self.misses.append(MissRecord(
+            end, dst, packet.payload_size, packet.is_broadcast, cause
+        ))
+        self.counters.incr(counter)
+        self.obs.event(
+            end, "medium.miss",
+            dst=dst, proto=packet.proto,
+            size=packet.wire_size, payload=packet.payload_size,
+            marked=packet.tos_marked,
+            broadcast=packet.is_broadcast,
+            packet_id=packet.packet_id,
+            **self._cell_fields,
+        )
+        self.obs.inc(
+            "medium.misses", dst=dst, cause=cause, **self._cell_fields
+        )

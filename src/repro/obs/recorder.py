@@ -1,10 +1,11 @@
 """The single instrumentation write path.
 
-Every component records through a :class:`Recorder`:
+Every component takes one instrumentation input, ``obs=``, and records
+through that :class:`Recorder`:
 
 * :meth:`Recorder.event` — a point event on the simulated timeline,
-  stored as a :class:`~repro.sim.trace.TraceRecord` (so the energy
-  analyzer's postmortem queries keep working unchanged);
+  stored as a :class:`~repro.sim.trace.TraceRecord` for the event
+  exporters;
 * :meth:`Recorder.span` — a ``[start, end)`` interval (burst slots,
   schedule intervals, WNIC awake stretches) feeding the Chrome-trace /
   Perfetto exporter;
@@ -13,8 +14,10 @@ Every component records through a :class:`Recorder`:
 
 The ``OBS001`` analysis rule forbids calling ``TraceRecorder.record``
 directly anywhere outside this package, so the recorder is the one
-funnel all observability flows through. :class:`NullRecorder` keeps the
-hooks nearly free when observability is off (the overhead bench in
+funnel all observability flows through, and ``OBS002`` forbids reading
+trace rows outside it, so no result depends on what was recorded: the
+obs mode changes only what a run can export. :class:`NullRecorder` keeps
+the hooks nearly free when observability is off (the overhead bench in
 ``benchmarks/test_bench_obs_overhead.py`` holds it under 5%).
 """
 
@@ -64,7 +67,7 @@ NULL_INSTRUMENT = _NullInstrument()
 class Recorder:
     """Interface (and no-op base) for instrumentation sinks."""
 
-    #: The wrapped raw trace log, if any (postmortem queries read it).
+    #: The raw event log, if any (read only by the exporters).
     trace: Optional[TraceRecorder] = None
     #: The metrics registry, if metrics are being collected.
     metrics: Optional[MetricsRegistry] = None
@@ -123,19 +126,6 @@ class Recorder:
     def spans(self) -> tuple[SpanRecord, ...]:
         """Completed spans in emission order."""
         return ()
-
-    @staticmethod
-    def wrap(trace: Optional[TraceRecorder]) -> "Recorder":
-        """Adapt a bare trace argument to a recorder.
-
-        Components accept either a full recorder or (for backward
-        compatibility) a plain :class:`TraceRecorder`; ``wrap`` turns
-        the latter into a :class:`SimRecorder` and ``None`` into the
-        shared no-op recorder.
-        """
-        if trace is None:
-            return NULL_RECORDER
-        return SimRecorder(trace=trace)
 
 
 class NullRecorder(Recorder):

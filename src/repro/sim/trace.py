@@ -1,9 +1,10 @@
 """Structured tracing of simulation activity.
 
-Components record :class:`TraceRecord` rows into a shared
-:class:`TraceRecorder`; the energy analyzer and tests query those rows
-postmortem — the same "sniff now, analyze later" structure the paper's
-monitoring station used.
+Components emit events through a :class:`~repro.obs.recorder.Recorder`,
+which appends them as :class:`TraceRecord` rows to a
+:class:`TraceRecorder`. The rows are an export: the obs exporters and
+tests read them, and no simulation result does (the ``OBS002`` analysis
+rule enforces it).
 """
 
 from __future__ import annotations

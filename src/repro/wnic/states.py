@@ -6,9 +6,8 @@ from enum import Enum
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceRecorder
 
 
 class WnicState(Enum):
@@ -37,14 +36,12 @@ class Wnic:
         self,
         sim: Simulator,
         owner: str,
-        trace: Optional[TraceRecorder] = None,
         start_asleep: bool = False,
         obs: Optional[Recorder] = None,
     ) -> None:
         self.sim = sim
         self.owner = owner
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._state = WnicState.SLEEP if start_asleep else WnicState.IDLE
         #: (time, new_state) history; starts with the initial state at t=0.
         self.transitions: list[tuple[float, WnicState]] = [

@@ -67,7 +67,8 @@ def test_replay_matches_live_run_closely(capture):
     from repro.energy.analyzer import EnergyAnalyzer
 
     analyzer = EnergyAnalyzer(
-        frames, WAVELAN_2_4GHZ, duration_s=live.sim.now, trace=live.trace
+        frames, WAVELAN_2_4GHZ, duration_s=live.sim.now,
+        misses=live.medium.misses,
     )
     live_report = analyzer.analyze(
         "live", client_ip(0), live.clients[0].wnic

@@ -1,12 +1,13 @@
-"""Unit tests for client reports and the trace analyzer."""
+"""Unit tests for client reports and the postmortem analyzer."""
 
 import pytest
 
 from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import summarize
 from repro.errors import TraceError
+from repro.net.medium import MissRecord
 from repro.net.sniffer import FrameRecord
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.wnic import WAVELAN_2_4GHZ, Wnic
 
 
@@ -56,18 +57,15 @@ class TestAnalyzer:
         assert report.energy_saved_pct > 0
         assert report.naive.receive_s == pytest.approx(0.4)
 
-    def test_misses_counted_from_medium_trace(self):
+    def test_misses_counted_from_medium_miss_list(self):
         sim = Simulator()
-        trace = TraceRecorder()
-        trace.record(5.0, "medium.miss", dst="10.0.1.1", proto="udp",
-                     size=1062, payload=1000, marked=False, broadcast=False,
-                     packet_id=1)
-        trace.record(6.0, "medium.miss", dst="10.0.1.2", proto="udp",
-                     size=1062, payload=1000, marked=False, broadcast=False,
-                     packet_id=2)
+        misses = [
+            MissRecord(5.0, "10.0.1.1", 1000, False, "sleep"),
+            MissRecord(6.0, "10.0.1.2", 1000, False, "sleep"),
+        ]
         wnic = Wnic(sim, "c1")
         frames = [frame(1.0, 1.2), frame(5.0, 5.2)]
-        analyzer = EnergyAnalyzer(frames, WAVELAN_2_4GHZ, 10.0, trace=trace)
+        analyzer = EnergyAnalyzer(frames, WAVELAN_2_4GHZ, 10.0, misses=misses)
         report = analyzer.analyze("c1", "10.0.1.1", wnic)
         assert report.packets_missed == 1
         assert report.loss_pct == pytest.approx(50.0)
@@ -75,13 +73,10 @@ class TestAnalyzer:
 
     def test_broadcast_misses_not_counted_as_data_loss(self):
         sim = Simulator()
-        trace = TraceRecorder()
-        trace.record(5.0, "medium.miss", dst="10.0.1.1", proto="udp",
-                     size=100, payload=50, marked=False, broadcast=True,
-                     packet_id=1)
+        misses = [MissRecord(5.0, "10.0.1.1", 50, True, "sleep")]
         wnic = Wnic(sim, "c1")
         analyzer = EnergyAnalyzer([frame(0.0, 0.1)], WAVELAN_2_4GHZ, 10.0,
-                                  trace=trace)
+                                  misses=misses)
         report = analyzer.analyze("c1", "10.0.1.1", wnic)
         assert report.packets_missed == 0
 

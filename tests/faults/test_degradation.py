@@ -17,6 +17,7 @@ from repro.experiments.scenarios import ScenarioConfig, build_scenario, client_i
 from repro.faults import ChurnEvent, FaultPlan, Window
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
+from repro.obs import SimRecorder
 
 
 def faulty_scenario(plan, n_clients=1, seed=11, interval=0.1):
@@ -33,7 +34,7 @@ def faulty_scenario(plan, n_clients=1, seed=11, interval=0.1):
         handle.daemon = PowerAwareClient(
             handle.node, handle.wnic, AdaptiveCompensator(),
             fallback_after_misses=plan.fallback_after_misses,
-            trace=scenario.trace,
+            obs=SimRecorder(trace=scenario.trace),
         )
     return scenario
 

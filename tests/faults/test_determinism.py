@@ -16,6 +16,7 @@ from repro.experiments.scenarios import ScenarioConfig, build_scenario, client_i
 from repro.faults import ChurnEvent, FaultPlan, GilbertElliottSpec, Window
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
+from repro.obs import SimRecorder
 
 FULL_PLAN = FaultPlan(
     loss_rate=0.02,
@@ -47,7 +48,7 @@ def run_and_serialize(seed=5, faults=None, until=4.0):
         handle.daemon = PowerAwareClient(
             handle.node, handle.wnic, AdaptiveCompensator(),
             fallback_after_misses=plan.fallback_after_misses,
-            trace=scenario.trace,
+            obs=SimRecorder(trace=scenario.trace),
         )
         UdpSocket(handle.node, 5004)
 

@@ -22,10 +22,10 @@ def wire_pair(
     return sim, a, b, link
 
 
-def wireless_cell(sim=None, n_clients=2, rng=None, trace=None, **medium_kwargs):
+def wireless_cell(sim=None, n_clients=2, rng=None, obs=None, **medium_kwargs):
     """An AP-less cell: a gateway node plus n client nodes on one medium."""
     sim = sim or Simulator()
-    medium = WirelessMedium(sim, rng=rng, trace=trace, **medium_kwargs)
+    medium = WirelessMedium(sim, rng=rng, obs=obs, **medium_kwargs)
     gateway = Node(sim, "gw", "10.0.0.254")
     gw_iface = gateway.add_interface("wl0")
     medium.attach(gw_iface, gateway=True)

@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.addr import BROADCAST_IP, Endpoint
-from repro.net.medium import WirelessMedium
+from repro.net.medium import MissRecord, WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
+from repro.obs import SimRecorder
 from repro.sim import RngStreams, Simulator, TraceRecorder
 from repro.units import mbps
 
@@ -71,7 +72,9 @@ def test_sender_does_not_hear_its_own_frame():
 
 def test_rx_gate_blocks_and_records_miss():
     trace = TraceRecorder()
-    sim, medium, gateway, clients = wireless_cell(n_clients=1, trace=trace)
+    sim, medium, gateway, clients = wireless_cell(
+        n_clients=1, obs=SimRecorder(trace=trace)
+    )
     client = clients[0]
     client.interfaces["wl0"].rx_gate = lambda packet: False  # asleep
     received = []
@@ -83,6 +86,7 @@ def test_rx_gate_blocks_and_records_miss():
     misses = list(trace.query("medium.miss"))
     assert len(misses) == 1
     assert misses[0].fields["dst"] == client.ip
+    assert medium.misses == [MissRecord(sim.now, client.ip, 500, False, "sleep")]
 
 
 def test_missed_unicast_does_not_leak_to_gateway():
@@ -118,7 +122,7 @@ def test_backoff_uses_rng_and_stays_bounded():
 def test_channel_drop_hook():
     trace = TraceRecorder()
     sim, medium, gateway, clients = wireless_cell(
-        n_clients=1, trace=trace, drop=lambda p: True
+        n_clients=1, obs=SimRecorder(trace=trace), drop=lambda p: True
     )
     received = []
     UdpSocket(clients[0], 7000, on_receive=lambda p: received.append(p))
@@ -138,7 +142,9 @@ def test_attach_two_gateways_rejected():
 
 def test_frame_trace_records_timing_and_sizes():
     trace = TraceRecorder()
-    sim, medium, gateway, clients = wireless_cell(n_clients=1, trace=trace)
+    sim, medium, gateway, clients = wireless_cell(
+        n_clients=1, obs=SimRecorder(trace=trace)
+    )
     UdpSocket(clients[0], 7000)
     UdpSocket(gateway, 5000).sendto(400, Endpoint(clients[0].ip, 7000))
     sim.run()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import SimRecorder
 from repro.sim import Simulator, TraceRecorder
 from repro.wnic import Wnic, WnicState
 
@@ -48,7 +49,9 @@ class TestWnicTransitions:
     def test_transitions_recorded_in_trace(self):
         trace = TraceRecorder()
         sim = Simulator()
-        wnic = Wnic(sim, "c1", trace=trace, start_asleep=True)
+        wnic = Wnic(
+            sim, "c1", obs=SimRecorder(trace=trace), start_asleep=True
+        )
         sim.run(until=1.0)
         wnic.wake()
         sim.run(until=2.0)
