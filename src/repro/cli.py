@@ -109,40 +109,32 @@ def parse_churn(text: str):
         raise ConfigurationError(f"bad churn spec {text!r}: {exc}") from exc
 
 
+def _two_state_spec(text: str, what: str) -> dict:
+    """'p_gb:p_bg[:loss_bad[:loss_good]]' -> two-state channel kwargs."""
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad {what} spec {text!r}: {exc}") from exc
+    if len(parts) not in (2, 3, 4):
+        raise ConfigurationError(
+            f"bad {what} spec {text!r}: expected "
+            "p_gb:p_bg[:loss_bad[:loss_good]]"
+        )
+    return dict(zip(("p_good_bad", "p_bad_good", "loss_bad", "loss_good"), parts))
+
+
 def parse_burst_loss(text: str):
     """'p_gb:p_bg[:loss_bad[:loss_good]]' -> GilbertElliottSpec."""
     from repro.faults import GilbertElliottSpec
 
-    try:
-        parts = [float(p) for p in text.split(":")]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad burst-loss spec {text!r}: {exc}") from exc
-    if len(parts) not in (2, 3, 4):
-        raise ConfigurationError(
-            f"bad burst-loss spec {text!r}: expected "
-            "p_gb:p_bg[:loss_bad[:loss_good]]"
-        )
-    kwargs = dict(zip(("p_good_bad", "p_bad_good", "loss_bad", "loss_good"), parts))
-    return GilbertElliottSpec(**kwargs)
+    return GilbertElliottSpec(**_two_state_spec(text, "burst-loss"))
 
 
 def parse_channel(text: str, epoch_s: float = 0.1):
     """'p_gb:p_bg[:loss_bad[:loss_good]]' -> ChannelPlan."""
     from repro.net.channel import ChannelPlan
 
-    try:
-        parts = [float(p) for p in text.split(":")]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad channel spec {text!r}: {exc}") from exc
-    if len(parts) not in (2, 3, 4):
-        raise ConfigurationError(
-            f"bad channel spec {text!r}: expected "
-            "p_gb:p_bg[:loss_bad[:loss_good]]"
-        )
-    kwargs = dict(
-        zip(("p_good_bad", "p_bad_good", "loss_bad", "loss_good"), parts)
-    )
-    return ChannelPlan(epoch_s=epoch_s, **kwargs)
+    return ChannelPlan(epoch_s=epoch_s, **_two_state_spec(text, "channel"))
 
 
 def build_fault_plan(args):

@@ -201,22 +201,18 @@ class TransparentProxy(Node):
             queues = self._sorted_queues = sorted(self._queues.items())
         return queues
 
-    def scheduling_backlog(self, client_ip: str) -> int:
-        """Bytes the schedule must reserve time for: the queue plus any
-        data already written into client-side sockets but not yet
-        acknowledged (unsent or in flight). Without the in-socket part
-        a client whose window-buffered tail still needs delivering
-        would silently drop out of the schedule and sleep through the
-        retransmissions (§3.2.2's bandwidth-constraint discussion)."""
-        udp_bytes, tcp_bytes = self.scheduling_backlog_by_kind(client_ip)
-        return udp_bytes + tcp_bytes
-
     def scheduling_backlog_by_kind(self, client_ip: str) -> tuple[int, int]:
-        """(udp_bytes, tcp_bytes) split of :meth:`scheduling_backlog`.
+        """(udp_bytes, tcp_bytes) the schedule must reserve time for.
 
-        The split matters for slot sizing: every TCP segment on the
-        downlink elicits ACK airtime on the shared half-duplex medium,
-        so TCP bytes cost more channel time than UDP bytes.
+        That is the queue plus any data already written into
+        client-side sockets but not yet acknowledged (unsent or in
+        flight). Without the in-socket part a client whose
+        window-buffered tail still needs delivering would silently drop
+        out of the schedule and sleep through the retransmissions
+        (§3.2.2's bandwidth-constraint discussion). The split matters
+        for slot sizing: every TCP segment on the downlink elicits ACK
+        airtime on the shared half-duplex medium, so TCP bytes cost
+        more channel time than UDP bytes.
         """
         queue = self.queue_for(client_ip)
         udp_bytes = queue.udp_bytes_pending

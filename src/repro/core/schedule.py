@@ -17,7 +17,7 @@ only a capture file (:mod:`repro.net.capture_io`) holds its dict form.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -125,29 +125,46 @@ class Schedule:
         try:
             raw = meta["schedule"]
             return cls(
-                seq=_field(raw, "seq", int),
-                srp=_field(raw, "srp", float),
-                next_srp=_field(raw, "next_srp", float),
-                repeats_next=_field(raw, "repeats_next", bool, False),
+                seq=checked_field(raw, "seq", int),
+                srp=checked_field(raw, "srp", float),
+                next_srp=checked_field(raw, "next_srp", float),
+                repeats_next=checked_field(raw, "repeats_next", bool, False),
                 slots=tuple(
                     BurstSlot(
-                        client_ip=_field(s, "client_ip", str),
-                        rendezvous=_field(s, "rendezvous", float),
-                        duration=_field(s, "duration", float),
-                        bytes_allotted=_field(s, "bytes_allotted", int),
+                        client_ip=checked_field(s, "client_ip", str),
+                        rendezvous=checked_field(s, "rendezvous", float),
+                        duration=checked_field(s, "duration", float),
+                        bytes_allotted=checked_field(s, "bytes_allotted", int),
                     )
-                    for s in _field(raw, "slots", list)
+                    for s in checked_field(raw, "slots", list)
                 ),
             )
         except (KeyError, TypeError) as exc:
             raise SchedulingError(f"malformed schedule metadata: {exc}") from exc
 
 
-def _field(raw: dict, key: str, kind: type, default: Any = None) -> Any:
-    """``raw[key]``, checked to be a ``kind`` (``float``: a finite number)."""
-    value = raw[key] if default is None else raw.get(key, default)
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+
+
+def checked_field(
+    raw: dict, key: str, kind: type, default: Any = _REQUIRED, *,
+    minimum: Optional[float] = None, exclusive: bool = False,
+) -> Any:
+    """``raw[key]`` (or ``default``), unconverted, checked to be a
+    ``kind`` — ``float`` means any finite number and a bool passes only
+    as ``bool`` — of at least ``minimum`` (above it when ``exclusive``).
+    Both schedule codecs, capture file and live datagram, use it."""
+    try:
+        value = raw[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise SchedulingError(f"field {key!r} is missing") from None
+        value = default
     if isinstance(value, bool) != (kind is bool) or not isinstance(
         value, (int, float) if kind is float else kind
-    ) or (kind is float and not math.isfinite(value)):
+    ) or (kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
         raise SchedulingError(f"field {key!r} must be {kind.__name__}: {value!r}")
+    if minimum is not None and not (value > minimum if exclusive else value >= minimum):
+        raise SchedulingError(f"field {key!r} is out of range: {value!r}")
     return value

@@ -11,12 +11,14 @@ in turn at its rendezvous point:
   drain its queue, clamped to [min_interval, max_interval]; when the
   maximum clamps it, allotments degrade to proportional shares.
 
-One pure function, :func:`layout_interval`, lays out every interval
-for both stacks: :class:`DynamicScheduler` feeds it the simulated
-proxy's queues, and the live asyncio proxy
-(:mod:`repro.runtime.proxy`) feeds it its socket buffers. Past the
-interval's capacity it serves a prefix of whole bursts and defers the
-rest, with :class:`BurstRotation` keeping the deferral fair.
+One sans-IO :class:`IntervalPlanner` schedules both stacks: at each
+SRP :class:`DynamicScheduler` feeds it the simulated proxy's queues
+and uplink times, the live asyncio proxy (:mod:`repro.runtime.proxy`)
+its socket buffers and heartbeat times. It reclaims the slots of
+silent clients, applies the admission policy (:mod:`repro.core.policy`)
+and lays the interval out with the pure :func:`layout_interval`, which
+past the interval's capacity serves a prefix of whole bursts and
+defers the rest, with :class:`BurstRotation` keeping the deferral fair.
 
 The schedule-reuse extension (paper §5 future work) can be enabled with
 ``reuse_schedules=True``: when two consecutive schedules would have the
@@ -27,7 +29,8 @@ the same layout — saving every client one schedule wake-up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import LinearCostModel
 from repro.core.policy import ClientView, PaperDynamicPolicy, SchedulingPolicy
@@ -40,6 +43,7 @@ from repro.core.schedule import (
 from repro.errors import SchedulingError
 from repro.net.packet import MSS
 from repro.obs.metrics import BYTES_BUCKETS, RATIO_BUCKETS, SECONDS_BUCKETS
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.units import ms, us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -209,8 +213,206 @@ class BurstRotation:
         self._resume = ordered[served][0] if served < len(ordered) else None
 
 
+class IntervalPlanner:
+    """The scheduler of both stacks, with no clock, socket or sim event.
+
+    Each :meth:`plan` call is one SRP: it judges uplink silence,
+    observes every queue, leaves out the silenced clients and those the
+    admission policy holds back, and lays out the rest in rotated order.
+    The planner owns all state that outlives an interval: the sequence
+    number, the :class:`BurstRotation`, the silenced set and the
+    policy's deferral ages.
+    """
+
+    def __init__(
+        self,
+        cost_model: LinearCostModel,
+        interval_s: Optional[float],
+        *,
+        min_interval_s: float = ms(100),
+        max_interval_s: float = ms(500),
+        slot_gap_s: float = DEFAULT_SLOT_GAP_S,
+        schedule_guard_s: float = DEFAULT_SCHEDULE_GUARD_S,
+        reuse_schedules: bool = False,
+        silence_timeout_s: Optional[float] = None,
+        policy: Optional[SchedulingPolicy] = None,
+        channel_state: Callable[[str], bool] = lambda key: True,
+        obs: Recorder = NULL_RECORDER,
+    ) -> None:
+        """Args:
+        cost_model: calibrated linear send-cost model.
+        interval_s: fixed burst interval; None selects the variable
+            policy bounded by ``min_interval_s``/``max_interval_s``.
+        reuse_schedules: the caller replays layouts (§5), so the order
+            rotates only past overload deferrals.
+        silence_timeout_s: reclaim the slot of a client whose uplink
+            has been silent this long (None disables reclamation). A
+            client that never transmitted anything is never judged
+            silent — there is no baseline to decay from.
+        policy: slot-admission policy (see :mod:`repro.core.policy`).
+            Defaults to the paper's dynamic policy, which admits every
+            backlogged client.
+        channel_state: a client's channel state (True = good).
+        """
+        if interval_s is not None and interval_s <= 0:
+            raise SchedulingError(f"interval must be positive: {interval_s!r}")
+        if min_interval_s <= 0 or max_interval_s < min_interval_s:
+            raise SchedulingError(
+                f"bad interval bounds: [{min_interval_s}, {max_interval_s}]"
+            )
+        if silence_timeout_s is not None and silence_timeout_s <= 0:
+            raise SchedulingError(
+                f"silence_timeout_s must be positive: {silence_timeout_s!r}"
+            )
+        self.cost_model = cost_model
+        self.interval_s = interval_s
+        self.min_interval_s = min_interval_s
+        self.max_interval_s = max_interval_s
+        self.slot_gap_s = slot_gap_s
+        self.schedule_guard_s = schedule_guard_s
+        self.reuse_schedules = reuse_schedules
+        self.silence_timeout_s = silence_timeout_s
+        self.policy: SchedulingPolicy = (
+            policy if policy is not None else PaperDynamicPolicy()
+        )
+        self.channel_state = channel_state
+        self.obs = obs
+        self.seq = 0
+        self.silenced: set[str] = set()
+        self.slots_reclaimed = 0
+        self.slots_restored = 0
+        self.policy_grants = 0
+        self.policy_defers = 0
+        #: Consecutive intervals each backlogged client has been held
+        #: back by the policy (cleared on admission or on drain).
+        self._deferred: dict[str, int] = {}
+        self._rotation = BurstRotation()
+
+    def plan(
+        self,
+        srp: float,
+        now: float,
+        backlogs: Iterable[Backlog],
+        last_uplink: dict[str, float],
+    ) -> Schedule:
+        """The schedule of the interval starting at ``srp``.
+
+        ``backlogs`` holds every client's ``(key, udp, tcp)`` bytes in a
+        deterministic order; ``last_uplink`` maps each client heard so
+        far to when it was last heard, on the clock of ``now``.
+        """
+        self._update_silenced(now, last_uplink)
+        obs = self.obs
+        pending = []
+        for entry in backlogs:
+            key, udp_bytes, tcp_bytes = entry
+            backlog = udp_bytes + tcp_bytes
+            obs.observe(
+                "scheduler.queue_bytes", backlog, buckets=BYTES_BUCKETS,
+                client=key,
+            )
+            if backlog > 0 and key not in self.silenced:
+                pending.append(entry)
+        pending = self._admit(pending, now)
+        # Schedule reuse needs a *stable* order, so reuse rotates only
+        # past overload deferrals.
+        ordered = self._rotation.order(
+            pending, 0 if self.reuse_schedules else self.seq
+        )
+        schedule = layout_interval(
+            srp, self.seq, ordered, self.cost_model, self.interval_s,
+            slot_gap_s=self.slot_gap_s, schedule_guard_s=self.schedule_guard_s,
+            min_interval_s=self.min_interval_s,
+            max_interval_s=self.max_interval_s,
+        )
+        self._rotation.advance(ordered, schedule)
+        self.seq += 1
+        return schedule
+
+    def claim_seq(self) -> int:
+        """A sequence number for a schedule laid out elsewhere (reuse)."""
+        self.seq += 1
+        return self.seq - 1
+
+    def forget(self, key: str) -> None:
+        """Drop a departed client's silence and deferral state."""
+        self.silenced.discard(key)
+        self._deferred.pop(key, None)
+
+    def _update_silenced(self, now: float, last_uplink: dict[str, float]) -> None:
+        """Reclaim the slots of clients whose uplink (TCP ACKs, feedback
+        reports, heartbeats) went quiet; restore them once heard again.
+        A silent client keeps its queued data."""
+        if self.silence_timeout_s is None:
+            return
+        for key, last_heard in last_uplink.items():
+            silent = (now - last_heard) > self.silence_timeout_s
+            if silent and key not in self.silenced:
+                self.silenced.add(key)
+                self.slots_reclaimed += 1
+                self.obs.event(
+                    now, "scheduler.reclaim", client=key,
+                    silent_s=now - last_heard,
+                )
+                self.obs.inc("scheduler.slots_reclaimed", client=key)
+            elif not silent and key in self.silenced:
+                self.silenced.discard(key)
+                self.slots_restored += 1
+                self.obs.event(now, "scheduler.restore", client=key)
+                self.obs.inc("scheduler.slots_restored", client=key)
+
+    def _admit(self, pending: list[Backlog], now: float) -> list[Backlog]:
+        """Apply the slot-admission policy, preserving ``pending`` order.
+
+        The policy sees one :class:`ClientView` per backlogged client
+        and returns the admitted keys; held-back clients keep their
+        bytes queued and age their deferral counter. The default
+        dynamic policy admits everyone, so the filter — and all its
+        observability — is a no-op on legacy configurations.
+        """
+        if not pending:
+            self._deferred = {}
+            return pending
+        views = [
+            ClientView(
+                key=key,
+                backlog=udp_b + tcp_b,
+                channel_good=self.channel_state(key),
+                deferred=self._deferred.get(key, 0),
+            )
+            for key, udp_b, tcp_b in pending
+        ]
+        admitted_keys = set(self.policy.admit(views))
+        admitted = [entry for entry in pending if entry[0] in admitted_keys]
+        deferred: dict[str, int] = {}
+        chatty = self.policy.name != "dynamic"
+        for view in views:
+            if view.key in admitted_keys:
+                continue
+            deferred[view.key] = view.deferred + 1
+            self.policy_defers += 1
+            if chatty:
+                self.obs.event(
+                    now, "scheduler.policy_defer",
+                    client=view.key, backlog=view.backlog,
+                    deferred=view.deferred + 1,
+                    channel="good" if view.channel_good else "bad",
+                )
+                self.obs.inc("scheduler.policy_defers", client=view.key)
+        self._deferred = deferred
+        self.policy_grants += len(admitted)
+        if chatty and admitted:
+            self.obs.inc("scheduler.policy_grants", len(admitted))
+        return admitted
+
+
 class DynamicScheduler:
-    """Builds and executes per-interval schedules on the proxy."""
+    """Runs the planner's schedules on the simulated proxy."""
+
+    slots_reclaimed = property(attrgetter("planner.slots_reclaimed"))
+    slots_restored = property(attrgetter("planner.slots_restored"))
+    policy_grants = property(attrgetter("planner.policy_grants"))
+    policy_defers = property(attrgetter("planner.policy_defers"))
 
     def __init__(
         self,
@@ -225,126 +427,29 @@ class DynamicScheduler:
         silence_timeout_s: Optional[float] = None,
         policy: Optional[SchedulingPolicy] = None,
     ) -> None:
-        """Args:
-        proxy: owning proxy (supplies queues, burster and the socket).
-        cost_model: calibrated linear send-cost model.
-        interval_s: fixed burst interval; None selects the variable
-            policy bounded by ``min_interval_s``/``max_interval_s``.
-        reuse_schedules: enable the §5 schedule-reuse extension.
-        silence_timeout_s: reclaim the slot of a client whose uplink
-            has been silent this long (None disables reclamation). A
-            client that never transmitted anything is never judged
-            silent — there is no baseline to decay from.
-        policy: slot-admission policy (see :mod:`repro.core.policy`).
-            Defaults to the paper's dynamic policy, which admits every
-            backlogged client — byte-identical to the pre-policy
-            scheduler.
-        """
-        if interval_s is not None and interval_s <= 0:
-            raise SchedulingError(f"interval must be positive: {interval_s!r}")
-        if min_interval_s <= 0 or max_interval_s < min_interval_s:
-            raise SchedulingError(
-                f"bad interval bounds: [{min_interval_s}, {max_interval_s}]"
-            )
-        if silence_timeout_s is not None and silence_timeout_s <= 0:
-            raise SchedulingError(
-                f"silence_timeout_s must be positive: {silence_timeout_s!r}"
-            )
+        """``proxy`` supplies the queues, uplink times, channel state,
+        burster and socket; ``reuse_schedules`` enables the §5
+        schedule-reuse extension; the rest configure the planner."""
         self.proxy = proxy
         self.cost_model = cost_model
-        self.interval_s = interval_s
-        self.min_interval_s = min_interval_s
-        self.max_interval_s = max_interval_s
-        self.slot_gap_s = slot_gap_s
-        self.schedule_guard_s = schedule_guard_s
-        self.reuse_schedules = reuse_schedules
-        self.silence_timeout_s = silence_timeout_s
-        self.policy: SchedulingPolicy = (
-            policy if policy is not None else PaperDynamicPolicy()
+        self.planner = IntervalPlanner(
+            cost_model, interval_s,
+            min_interval_s=min_interval_s, max_interval_s=max_interval_s,
+            slot_gap_s=slot_gap_s, schedule_guard_s=schedule_guard_s,
+            reuse_schedules=reuse_schedules,
+            silence_timeout_s=silence_timeout_s, policy=policy,
+            channel_state=proxy.channel_state, obs=proxy.obs,
         )
-        self.policy_grants = 0
-        self.policy_defers = 0
-        #: Consecutive intervals each backlogged client has been held
-        #: back by the policy (cleared on admission or on drain).
-        self._deferred: dict[str, int] = {}
         self.schedules_sent = 0
         self.schedules_reused = 0
-        self.slots_reclaimed = 0
-        self.slots_restored = 0
-        self.seq = 0
         self._last_layout: Optional[tuple] = None
-        self._silenced: set[str] = set()
-        self._rotation = BurstRotation()
-
-    @property
-    def is_variable(self) -> bool:
-        """True when running the variable-interval policy."""
-        return self.interval_s is None
-
-    # -- schedule construction ------------------------------------------------
-
-    def _update_silenced(self) -> None:
-        """Track which clients' uplinks went quiet (and came back).
-
-        The proxy bridges every uplink packet, so ``proxy.last_uplink``
-        is a passive liveness signal: a client whose radio died (or
-        that left the cell) stops producing TCP ACKs and feedback
-        reports. Its queue keeps its data, but its burst slot is
-        reclaimed for live clients until it is heard again.
-        """
-        if self.silence_timeout_s is None:
-            return
-        now = self.proxy.sim.now
-        for ip, last_heard in self.proxy.last_uplink.items():
-            silent = (now - last_heard) > self.silence_timeout_s
-            if silent and ip not in self._silenced:
-                self._silenced.add(ip)
-                self.slots_reclaimed += 1
-                self.proxy.obs.event(
-                    now, "scheduler.reclaim", client=ip,
-                    silent_s=now - last_heard,
-                )
-                self.proxy.obs.inc("scheduler.slots_reclaimed", client=ip)
-            elif not silent and ip in self._silenced:
-                self._silenced.discard(ip)
-                self.slots_restored += 1
-                self.proxy.obs.event(now, "scheduler.restore", client=ip)
-                self.proxy.obs.inc("scheduler.slots_restored", client=ip)
 
     def build_schedule(self, srp: float) -> Schedule:
-        """Snapshot the queues and construct the schedule for one interval."""
-        self._update_silenced()
-        obs = self.proxy.obs
-        # One backlog computation per client per interval: the observe
-        # stream and the pending filter share it (this loop used to
-        # compute each client's backlog three times, which at 1k+
-        # clients dominated schedule construction).
-        pending = []
-        for ip, _queue in self.proxy.iter_queues():
-            udp_bytes, tcp_bytes = self.proxy.scheduling_backlog_by_kind(ip)
-            backlog = udp_bytes + tcp_bytes
-            obs.observe(
-                "scheduler.queue_bytes",
-                backlog,
-                buckets=BYTES_BUCKETS,
-                client=ip,
-            )
-            if backlog > 0 and ip not in self._silenced:
-                pending.append((ip, udp_bytes, tcp_bytes))
-        pending = self._admit(pending)
-        # Schedule reuse needs a *stable* order, so reuse rotates only
-        # past overload deferrals.
-        ordered = self._rotation.order(
-            pending, 0 if self.reuse_schedules else self.seq
-        )
-        schedule = layout_interval(
-            srp, self.seq, ordered, self.cost_model, self.interval_s,
-            slot_gap_s=self.slot_gap_s, schedule_guard_s=self.schedule_guard_s,
-            min_interval_s=self.min_interval_s,
-            max_interval_s=self.max_interval_s,
-        )
-        self._rotation.advance(ordered, schedule)
-        return schedule
+        """Snapshot the queues and plan the schedule for one interval."""
+        proxy = self.proxy
+        backlog = proxy.scheduling_backlog_by_kind
+        backlogs = ((ip, *backlog(ip)) for ip, _queue in proxy.iter_queues())
+        return self.planner.plan(srp, proxy.sim.now, backlogs, proxy.last_uplink)
 
     def forget_client(self, client_ip: str) -> None:
         """Drop per-client scheduling state after a shard handoff.
@@ -353,60 +458,8 @@ class DynamicScheduler:
         (analysis rule CAM001). The cached reuse layout is invalidated
         so a repeated schedule can never re-grant the departed slot.
         """
-        self._silenced.discard(client_ip)
-        self._deferred.pop(client_ip, None)
+        self.planner.forget(client_ip)
         self._last_layout = None
-
-    def _admit(
-        self, pending: list[tuple[str, int, int]]
-    ) -> list[tuple[str, int, int]]:
-        """Apply the slot-admission policy, preserving ``pending`` order.
-
-        The policy sees one :class:`ClientView` per backlogged client
-        (channel state via the proxy's observability hook, deferral age
-        from the scheduler's own bookkeeping) and returns the admitted
-        keys; held-back clients keep their bytes queued and age their
-        deferral counter. The default dynamic policy admits everyone,
-        so the filter — and all its observability — is a no-op on
-        legacy configurations.
-        """
-        if not pending:
-            self._deferred = {}
-            return pending
-        views = [
-            ClientView(
-                key=ip,
-                backlog=udp_b + tcp_b,
-                channel_good=self.proxy.channel_state(ip),
-                deferred=self._deferred.get(ip, 0),
-            )
-            for ip, udp_b, tcp_b in pending
-        ]
-        admitted_keys = set(self.policy.admit(views))
-        admitted = [entry for entry in pending if entry[0] in admitted_keys]
-        deferred: dict[str, int] = {}
-        chatty = self.policy.name != "dynamic"
-        now = self.proxy.sim.now
-        for view in views:
-            if view.key in admitted_keys:
-                continue
-            deferred[view.key] = view.deferred + 1
-            self.policy_defers += 1
-            if chatty:
-                self.proxy.obs.event(
-                    now, "scheduler.policy_defer",
-                    client=view.key, backlog=view.backlog,
-                    deferred=view.deferred + 1,
-                    channel="good" if view.channel_good else "bad",
-                )
-                self.proxy.obs.inc(
-                    "scheduler.policy_defers", client=view.key,
-                )
-        self._deferred = deferred
-        self.policy_grants += len(admitted)
-        if chatty and admitted:
-            self.proxy.obs.inc("scheduler.policy_grants", len(admitted))
-        return admitted
 
     # -- execution ------------------------------------------------------------
 
@@ -424,7 +477,7 @@ class DynamicScheduler:
                 )
             schedule = self.build_schedule(srp)
             repeat = False
-            if self.reuse_schedules and not self.is_variable:
+            if self.planner.reuse_schedules and self.planner.interval_s is not None:
                 layout = self._relative_layout(schedule)
                 if layout == self._last_layout and schedule.slots:
                     schedule = Schedule(
@@ -438,7 +491,6 @@ class DynamicScheduler:
                 self._last_layout = layout
             self.proxy.broadcast_schedule(schedule)
             self.schedules_sent += 1
-            self.seq += 1
             self.proxy.obs.span(
                 schedule.srp, schedule.next_srp, "interval", "proxy",
                 seq=schedule.seq, slots=len(schedule.slots),
@@ -448,8 +500,9 @@ class DynamicScheduler:
             if repeat:
                 # Replay the same relative layout without a broadcast.
                 self.schedules_reused += 1
-                self.seq += 1
-                shifted = self._shift_schedule(schedule, schedule.interval)
+                shifted = self._shift_schedule(
+                    schedule, schedule.interval, self.planner.claim_seq()
+                )
                 self._last_layout = None  # force a fresh broadcast next
                 self.proxy.obs.inc("scheduler.schedules_reused")
                 self.proxy.obs.span(
@@ -518,12 +571,14 @@ class DynamicScheduler:
             for slot in schedule.slots
         )
 
-    def _shift_schedule(self, schedule: Schedule, delta: float) -> Schedule:
+    def _shift_schedule(
+        self, schedule: Schedule, delta: float, seq: int
+    ) -> Schedule:
         """The implicit repeated schedule: same offsets one interval
         later; allotments are re-derived from slot durations so the
         replay serves whatever is queued *now*."""
         return Schedule(
-            seq=schedule.seq + 1,
+            seq=seq,
             srp=schedule.srp + delta,
             next_srp=schedule.next_srp + delta,
             slots=tuple(

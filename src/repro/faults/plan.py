@@ -12,7 +12,7 @@ RNG streams, never from the plan itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.errors import ConfigurationError

@@ -9,7 +9,6 @@ boolean set by the proxy's bursting path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Flag, auto
 from typing import Any, Optional
 

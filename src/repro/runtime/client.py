@@ -108,12 +108,12 @@ class VirtualWnic:
         if end <= 0:
             return 0.0
         awake = self.awake_time(end)
-        energy = (
-            awake * power.idle_w
-            + (end - awake) * power.sleep_w
-            + self.wakes_until(end) * power.wake_penalty_j
+        energy = power.energy(
+            sleep_s=end - awake, idle_s=awake, receive_s=0.0, transmit_s=0.0,
+            wake_count=self.wakes_until(end),
         )
-        return 100.0 * (1.0 - energy / (end * power.idle_w))
+        idle = power.energy(sleep_s=0.0, idle_s=end, receive_s=0.0, transmit_s=0.0)
+        return 100.0 * (1.0 - energy / idle)
 
 
 class AsyncPowerClient:

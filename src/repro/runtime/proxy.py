@@ -6,12 +6,13 @@ Clients connect to the proxy's TCP port and send one header line::
 
 The proxy answers with a status line (``OK`` or ``ERR <reason>``),
 dials the origin server, relays the upstream direction immediately, and
-buffers the downstream direction into the client's queue. A scheduler
-task lays out each burst interval with the simulator's planner
-(:func:`repro.core.scheduler.layout_interval`), broadcasts the schedule
-datagram to every registered client's UDP control port, then releases
-at most each slot's allotted bytes at its rendezvous point, ending the
-burst with a mark datagram.
+buffers the downstream direction into the client's queue. At each SRP
+a scheduler task feeds the queue and uplink snapshots to the
+simulator's scheduler (:class:`repro.core.scheduler.IntervalPlanner`,
+which also reclaims the slots of silent clients), broadcasts the
+schedule datagram to every registered client's UDP control port, then
+releases at most each slot's allotted bytes at its rendezvous point,
+ending the burst with a mark datagram.
 
 This is the paper's §3.2 design with the kernel pieces (bridge, IPQ,
 TOS marking) replaced by the userspace substitutions listed in
@@ -24,10 +25,10 @@ TOS marking) replaced by the userspace substitutions listed in
 * **Admission control** — connection/client/byte limits are enforced at
   the CONNECT handshake with an explicit ``ERR overloaded`` status.
 * **Connection lifecycle** — origin dials have timeouts and bounded
-  exponential-backoff retries, relays have idle timeouts, and a
-  liveness reaper mirrors the simulator's slot reclamation: a client
+  exponential-backoff retries, relays have idle timeouts. A client
   whose uplink (TCP bytes or control heartbeats) goes silent first
-  loses its burst slot, then is evicted outright.
+  loses its burst slot at the next SRP, exactly as in the simulator;
+  a liveness reaper evicts it outright once the silence lasts longer.
 * **Supervision** — the scheduler and reaper run under a
   :class:`~repro.runtime.supervisor.TaskSupervisor` that restarts them
   on unexpected exceptions; a vanished client can never halt
@@ -46,13 +47,14 @@ import asyncio
 import logging
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.core.bandwidth_model import LinearCostModel
 from repro.core.schedule import Schedule
-from repro.core.scheduler import BurstRotation, layout_interval
+from repro.core.scheduler import IntervalPlanner
 from repro.errors import ConfigurationError, SchedulingError, SocketError
-from repro.obs import BYTES_BUCKETS, NULL_RECORDER, Recorder, SECONDS_BUCKETS
+from repro.obs import NULL_RECORDER, Recorder, SECONDS_BUCKETS
 from repro.runtime.supervisor import TaskSupervisor
 from repro.runtime.wire import (
     STATUS_OK,
@@ -164,7 +166,7 @@ class _ClientState:
 
     __slots__ = (
         "client_id", "control_addr", "queue", "bytes_pending", "bytes_sent",
-        "bursts", "peak_pending", "high", "low", "last_uplink", "silenced",
+        "bursts", "peak_pending", "high", "low", "last_uplink",
         "connections", "_writable",
     )
 
@@ -186,8 +188,8 @@ class _ClientState:
         self.peak_pending = 0
         self.high = high
         self.low = low
+        #: Proxy-relative time the client was last heard.
         self.last_uplink = now
-        self.silenced = False
         self.connections = 0
         self._writable = asyncio.Event()
         self._writable.set()
@@ -242,6 +244,9 @@ class _ClientState:
 class AsyncProxy:
     """The live scheduling proxy."""
 
+    slots_reclaimed = property(attrgetter("planner.slots_reclaimed"))
+    slots_restored = property(attrgetter("planner.slots_restored"))
+
     def __init__(
         self,
         config: Optional[AsyncProxyConfig] = None,
@@ -270,8 +275,6 @@ class AsyncProxy:
         self.connections_split = 0
         self.connections_refused = 0
         self.evictions = 0
-        self.slots_reclaimed = 0
-        self.slots_restored = 0
         self.scheduler_restarts = 0
         self.peak_buffered_bytes = 0
         #: Recent schedule-broadcast timestamps (loop clock) for jitter.
@@ -280,12 +283,15 @@ class AsyncProxy:
         self._buffered_bytes = 0
         self._global_writable = asyncio.Event()
         self._global_writable.set()
-        self._seq = 0
         self._planned_srp: Optional[float] = None
-        self._rotation = BurstRotation()
-        #: Loopback carries no per-packet airtime: slots are sized by
-        #: the drain rate alone.
-        self._cost_model = LinearCostModel(0.0, 8.0 / self.config.drain_rate_bps)
+        self.planner = IntervalPlanner(
+            # Loopback carries no per-packet airtime: slots are sized
+            # by the drain rate alone.
+            LinearCostModel(0.0, 8.0 / self.config.drain_rate_bps),
+            self.config.burst_interval_s,
+            silence_timeout_s=self.config.silence_timeout_s,
+            obs=obs,
+        )
         self._epoch = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -533,7 +539,7 @@ class AsyncProxy:
                 (self.config.host, control_port),
                 high=self.config.queue_high_bytes,
                 low=self.config.queue_low_bytes,
-                now=self._now(),
+                now=self._rel(self._now()),
             )
             self._clients[client_id] = state
         else:
@@ -544,17 +550,7 @@ class AsyncProxy:
 
     def _touch(self, state: _ClientState) -> None:
         """Record uplink liveness (TCP bytes or a control heartbeat)."""
-        state.last_uplink = self._now()
-        if state.silenced:
-            state.silenced = False
-            self.slots_restored += 1
-            self.obs.inc(
-                "scheduler.slots_restored", client=state.client_id
-            )
-            self.obs.event(
-                self._rel(state.last_uplink), "scheduler.restore",
-                client=state.client_id,
-            )
+        state.last_uplink = self._rel(self._now())
 
     # -- relays ----------------------------------------------------------------
 
@@ -667,27 +663,15 @@ class AsyncProxy:
     # -- liveness --------------------------------------------------------------
 
     async def _reaper(self) -> None:
-        """Reclaim slots of silent clients; evict the long-dead ones."""
+        """Evict the clients silent past ``evict_timeout_s``. (Their
+        slots went earlier: the planner reclaims them at the SRP.)"""
         config = self.config
         while True:
             await asyncio.sleep(config.reap_interval_s)
-            now = self._now()
+            now = self._rel(self._now())
             for client_id in list(self._clients):
                 state = self._clients[client_id]
                 silent_s = now - state.last_uplink
-                if (
-                    not state.silenced
-                    and silent_s > config.silence_timeout_s
-                ):
-                    state.silenced = True
-                    self.slots_reclaimed += 1
-                    self.obs.inc(
-                        "scheduler.slots_reclaimed", client=client_id
-                    )
-                    self.obs.event(
-                        self._rel(now), "scheduler.reclaim",
-                        client=client_id, silent_s=silent_s,
-                    )
                 if silent_s > config.evict_timeout_s:
                     self._evict(client_id, state, silent_s)
 
@@ -697,6 +681,7 @@ class AsyncProxy:
         """Crash-proof slot release: drop the registration, abort its
         connections, and discard its buffered bytes."""
         del self._clients[client_id]
+        self.planner.forget(client_id)
         self.evictions += 1
         dropped = state.pop()
         for conn, data in dropped:
@@ -730,7 +715,6 @@ class AsyncProxy:
             self._broadcast(RuntimeSchedule.from_schedule(schedule))
             self.broadcast_times.append(srp)
             self.schedules_sent += 1
-            self._seq += 1
             self._planned_srp = schedule.next_srp
             self.obs.inc("proxy.schedules_broadcast")
             self.obs.span(
@@ -759,26 +743,11 @@ class AsyncProxy:
                 await asyncio.sleep(remaining)
 
     def _plan(self, srp: float) -> Schedule:
-        """Snapshot the queues and lay out one interval with the
-        simulator's planner (:func:`repro.core.scheduler.layout_interval`)."""
-        pending = []
-        for client_id in sorted(self._clients):
-            state = self._clients[client_id]
-            self.obs.observe(
-                "scheduler.queue_bytes",
-                state.bytes_pending,
-                buckets=BYTES_BUCKETS,
-                client=client_id,
-            )
-            if state.bytes_pending > 0 and not state.silenced:
-                pending.append((client_id, state.bytes_pending, 0))
-        ordered = self._rotation.order(pending, self._seq)
-        schedule = layout_interval(
-            srp, self._seq, ordered, self._cost_model,
-            self.config.burst_interval_s,
-        )
-        self._rotation.advance(ordered, schedule)
-        return schedule
+        """Feed the queue and uplink snapshots to the planner."""
+        clients = sorted(self._clients.items())
+        backlogs = [(cid, state.bytes_pending, 0) for cid, state in clients]
+        heard = {cid: state.last_uplink for cid, state in clients}
+        return self.planner.plan(srp, self._rel(srp), backlogs, heard)
 
     def _broadcast(self, schedule: RuntimeSchedule) -> None:
         payload = schedule.encode()

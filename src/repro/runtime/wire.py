@@ -12,35 +12,15 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, checked_field
 from repro.errors import SchedulingError
 
 
-def _number(raw: dict, key: str, *, minimum: Optional[float] = None,
-            exclusive: bool = False) -> float:
-    """A required finite numeric field, with an optional lower bound."""
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchedulingError(f"field {key!r} must be a number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise SchedulingError(f"field {key!r} is not finite: {value!r}")
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise SchedulingError(f"field {key!r} must be > {minimum}")
-        if not exclusive and not value >= minimum:
-            raise SchedulingError(f"field {key!r} must be >= {minimum}")
-    return value
-
-
-def _integer(raw: dict, key: str, *, minimum: Optional[int] = None) -> int:
-    """A required integer field, with an optional lower bound."""
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchedulingError(f"field {key!r} must be an int, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SchedulingError(f"field {key!r} must be >= {minimum}")
-    return value
+def _client_id(raw: dict) -> str:
+    client_id = checked_field(raw, "client_id", str)
+    if not client_id:
+        raise SchedulingError("field 'client_id' must not be empty")
+    return client_id
 
 
 def _loads_object(payload: bytes, what: str) -> dict:
@@ -135,33 +115,28 @@ class RuntimeSchedule:
             raise SchedulingError(
                 f"not a schedule datagram: {raw.get('type')!r}"
             )
-        slots_raw = raw.get("slots", [])
-        if not isinstance(slots_raw, list):
-            raise SchedulingError(
-                f"field 'slots' must be a list, got {type(slots_raw).__name__}"
-            )
         slots = []
-        for entry in slots_raw:
+        for entry in checked_field(raw, "slots", list, []):
             if not isinstance(entry, dict):
                 raise SchedulingError(
                     f"slot must be an object, got {type(entry).__name__}"
                 )
-            client_id = entry.get("client_id")
-            if not isinstance(client_id, str) or not client_id:
-                raise SchedulingError(
-                    f"slot field 'client_id' must be a non-empty string, "
-                    f"got {client_id!r}"
-                )
             slots.append(RuntimeSlot(
-                client_id=client_id,
-                offset_s=_number(entry, "offset_s", minimum=0.0),
-                duration_s=_number(entry, "duration_s", minimum=0.0),
-                nbytes=_integer(entry, "nbytes", minimum=0),
+                client_id=_client_id(entry),
+                offset_s=float(
+                    checked_field(entry, "offset_s", float, minimum=0.0)
+                ),
+                duration_s=float(
+                    checked_field(entry, "duration_s", float, minimum=0.0)
+                ),
+                nbytes=checked_field(entry, "nbytes", int, minimum=0),
             ))
         return cls(
-            seq=_integer(raw, "seq", minimum=0),
-            srp=_number(raw, "srp"),
-            interval_s=_number(raw, "interval_s", minimum=0.0, exclusive=True),
+            seq=checked_field(raw, "seq", int, minimum=0),
+            srp=float(checked_field(raw, "srp", float)),
+            interval_s=float(checked_field(
+                raw, "interval_s", float, minimum=0.0, exclusive=True
+            )),
             slots=tuple(slots),
         )
 
@@ -190,13 +165,7 @@ def decode_heartbeat(payload: bytes) -> tuple[str, int]:
     raw = _loads_object(payload, "heartbeat")
     if raw.get("type") != "heartbeat":
         raise SchedulingError(f"not a heartbeat datagram: {raw.get('type')!r}")
-    client_id = raw.get("client_id")
-    if not isinstance(client_id, str) or not client_id:
-        raise SchedulingError(
-            f"heartbeat field 'client_id' must be a non-empty string, "
-            f"got {client_id!r}"
-        )
-    return client_id, _integer(raw, "seq", minimum=0)
+    return _client_id(raw), checked_field(raw, "seq", int, minimum=0)
 
 
 # -- CONNECT status lines ----------------------------------------------------

@@ -17,14 +17,11 @@ of PSM to reproduce that comparison:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.net.access_point import AccessPoint
-from repro.net.addr import Endpoint
 from repro.net.node import Interface, Node
 from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
-from repro.sim.core import Simulator
 from repro.wnic.states import Wnic
 
 #: UDP port beacons are broadcast on.

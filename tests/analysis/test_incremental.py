@@ -1,7 +1,6 @@
 """Incremental (--changed) mode: merge-base diff + untracked files."""
 
 import subprocess
-from pathlib import Path
 
 import pytest
 

@@ -194,7 +194,7 @@ class TestScheduleShape:
         silenced = {
             client_ip(i) for i in range(len(depths)) if i % 2 == 0
         }
-        scheduler._silenced = set(silenced)
+        scheduler.planner.silenced = set(silenced)
         schedule = scheduler.build_schedule(srp=0.0)
         assert not {slot.client_ip for slot in schedule.slots} & silenced
 

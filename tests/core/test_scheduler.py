@@ -166,8 +166,8 @@ class TestScheduleProperties:
         )
         scheduler = make_scheduler(scenario, interval_s=0.5)
         first = scheduler.build_schedule(srp=0.0)
-        scheduler.seq += 1
         second = scheduler.build_schedule(srp=0.5)
+        assert (first.seq, second.seq) == (0, 1)
         assert [s.client_ip for s in first.slots] != [
             s.client_ip for s in second.slots
         ]

@@ -1,6 +1,5 @@
 """Property-based tests for energy accounting invariants."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

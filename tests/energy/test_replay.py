@@ -10,7 +10,6 @@ from repro.energy.replay import replay_policy, sweep_early_amounts
 from repro.errors import TraceError
 from repro.experiments.scenarios import (
     ScenarioConfig,
-    VIDEO_SERVER_IP,
     build_scenario,
     client_ip,
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import parse_burst_loss, parse_churn, parse_window
+from repro.cli import parse_burst_loss, parse_channel, parse_churn, parse_window
 from repro.errors import ConfigurationError
 from repro.faults import (
     ChurnEvent,
@@ -160,3 +160,15 @@ class TestCliParsers:
     def test_parse_burst_loss_rejects(self, text):
         with pytest.raises(ConfigurationError):
             parse_burst_loss(text)
+
+    @pytest.mark.parametrize("text", ["0.05", "a:b", "1:2:3:4:5"])
+    def test_two_state_parsers_name_their_own_option(self, text):
+        with pytest.raises(ConfigurationError, match="bad burst-loss spec"):
+            parse_burst_loss(text)
+        with pytest.raises(ConfigurationError, match="bad channel spec"):
+            parse_channel(text)
+
+    def test_parse_channel(self):
+        plan = parse_channel("0.05:0.4:0.9", epoch_s=0.2)
+        assert (plan.epoch_s, plan.p_good_bad, plan.p_bad_good) == (0.2, 0.05, 0.4)
+        assert plan.loss_bad == 0.9

@@ -1,6 +1,5 @@
 """Unit tests for the access point."""
 
-import pytest
 
 from repro.net.access_point import AccessPoint
 from repro.net.addr import Endpoint

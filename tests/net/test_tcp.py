@@ -11,8 +11,6 @@ from repro.net.tcp import (
     TcpConnection,
     TcpListener,
 )
-from repro.net.udp import UdpSocket
-from repro.sim import Simulator
 from repro.units import mbps, ms
 
 from tests.net.helpers import wire_pair

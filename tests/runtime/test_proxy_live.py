@@ -219,14 +219,14 @@ class TestLiveProxy:
             proxy = AsyncProxy(_fast_config(), obs=recorder)
             await proxy.start()
 
-            def haunted_plan(srp):
+            def haunted_plan(srp, now, backlogs, last_uplink):
                 return Schedule(
                     seq=0, srp=srp,
                     next_srp=srp + proxy.config.burst_interval_s,
                     slots=(BurstSlot("never-registered", srp + 0.001, 0.001, 64),),
                 )
 
-            proxy._plan = haunted_plan
+            proxy.planner.plan = haunted_plan
             try:
                 await asyncio.sleep(0.3)  # several scheduler iterations
             finally:

@@ -59,6 +59,20 @@ class TestRuntimeSchedule:
         with pytest.raises(SchedulingError):
             RuntimeSchedule.decode(encode_mark("c", 1))
 
+    def test_numbers_beyond_float_range_are_rejected_not_crashing(self):
+        """A JSON integer too large for a float is malformed input for
+        both codecs, not an OverflowError."""
+        huge = "1" + "0" * 400
+        payload = (
+            '{"type": "schedule", "seq": 1, "srp": %s, "interval_s": 0.1}' % huge
+        )
+        with pytest.raises(SchedulingError):
+            RuntimeSchedule.decode(payload.encode())
+        meta = {"schedule": {"seq": 1, "srp": int(huge), "next_srp": 1.0,
+                             "slots": []}}
+        with pytest.raises(SchedulingError):
+            Schedule.from_meta(meta)
+
 
 class TestControlDatagrams:
     def test_mark_round_trip(self):

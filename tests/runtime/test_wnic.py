@@ -150,3 +150,24 @@ class TestEstimatedSavings:
         )
         expected = 100.0 * (1.0 - energy / (4.0 * power.idle_w))
         assert with_penalty == pytest.approx(expected)
+
+    def test_savings_match_the_power_models_formula_exactly(self):
+        """The estimate is the shared PowerModel energy formula: a hand
+        computation with the same operand order matches to the bit."""
+        clock, wnic = make_wnic()
+        clock["t"] = 0.7
+        wnic.sleep()
+        clock["t"] = 2.9
+        wnic.wake()
+        clock["t"] = 3.3
+        wnic.sleep()
+        power = WAVELAN_2_4GHZ
+        awake = 0.7 + (3.3 - 2.9)
+        energy = (
+            (5.0 - awake) * power.sleep_w
+            + awake * power.idle_w
+            + 1 * power.wake_penalty_j
+        )
+        expected = 100.0 * (1.0 - energy / (5.0 * power.idle_w))
+        assert wnic.awake_time(5.0) == awake
+        assert wnic.estimated_savings_pct(until=5.0) == expected

@@ -1,13 +1,12 @@
 """Unit tests for the 802.11b PSM baseline."""
 
-import pytest
 
 from repro.net.addr import Endpoint
 from repro.net.link import Link
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator
+from repro.sim import Simulator
 from repro.units import mbps, ms
 from repro.wnic import Wnic
 from repro.wnic.psm import PsmAccessPoint, PsmClient

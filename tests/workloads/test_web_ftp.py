@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.addr import Endpoint
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 from repro.units import mib
 from repro.workloads.ftp import FtpClientApp, FtpServerApp
 from repro.workloads.web import (
