@@ -14,20 +14,28 @@ Run:  python examples/live_proxy_demo.py
 
 import asyncio
 
-from repro.runtime.demo import run_demo
+from repro.runtime import LoadTestConfig, run_loadtest
 
 
 def main() -> None:
-    results = asyncio.run(
-        run_demo(n_clients=2, file_size=300_000, burst_interval_s=0.1)
+    report = asyncio.run(
+        run_loadtest(
+            LoadTestConfig(
+                clients=2,
+                requests_per_client=1,
+                bytes_per_request=300_000,
+                burst_interval_s=0.1,
+                origin_pace_s=0.005,
+            )
+        )
     )
     print("client     bytes     schedules  marks  awake   est. saved")
-    for result in results:
+    for row in report.client_rows:
         print(
-            f"{result.client_id:<9} {result.bytes_received:>8}"
-            f"  {result.schedules_heard:>8}  {result.marks_heard:>5}"
-            f"  {result.awake_fraction*100:5.1f}%"
-            f"  {result.estimated_savings_pct:6.1f}%"
+            f"{row['client']:<9} {row['bytes']:>8}"
+            f"  {row['schedules']:>8}  {row['marks']:>5}"
+            f"  {row['awake_pct']:5.1f}%"
+            f"  {row['est_saved_pct']:6.1f}%"
         )
 
 

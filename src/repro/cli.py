@@ -6,7 +6,7 @@ Examples::
     python -m repro figure 4 --quick
     python -m repro table optimal
     python -m repro sweep --intervals 100ms,500ms --seeds 0:3 --jobs 2
-    python -m repro demo
+    python -m repro loadtest --clients 2 --requests 1 --pace-ms 5
 
 Every command accepts ``--json`` to emit machine-readable rows instead
 of the formatted table. The multi-run commands (``figure``, ``table``,
@@ -553,33 +553,6 @@ def cmd_analyze(args) -> int:
     return 1 if findings else 0
 
 
-def cmd_demo(args) -> int:
-    import asyncio
-
-    from repro.runtime.demo import run_demo
-
-    results = asyncio.run(
-        run_demo(
-            n_clients=args.clients,
-            file_size=args.bytes,
-            burst_interval_s=parse_interval(args.interval),
-        )
-    )
-    rows = [
-        {
-            "client": r.client_id,
-            "bytes": r.bytes_received,
-            "schedules": r.schedules_heard,
-            "marks": r.marks_heard,
-            "awake_pct": r.awake_fraction * 100.0,
-            "est_saved_pct": r.estimated_savings_pct,
-        }
-        for r in results
-    ]
-    print_rows(rows, args.json)
-    return 0
-
-
 def cmd_loadtest(args) -> int:
     import asyncio
 
@@ -619,8 +592,16 @@ def cmd_loadtest(args) -> int:
         ),
     )
     report = asyncio.run(run_loadtest(config))
-    print_rows(report.summary_rows(), args.json)
-    if not args.json:
+    if args.json:
+        json.dump(
+            {"summary": report.summary_rows(), "clients": report.client_rows},
+            sys.stdout, indent=2, default=str,
+        )
+        print()
+    else:
+        print_rows(report.summary_rows(), False)
+        print()
+        print_rows(report.client_rows, False)
         print(
             f"\n{report.bytes_received / 1024:.0f} KiB in "
             f"{report.duration_s:.2f}s  "
@@ -941,13 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client vanish/rejoin event (repeatable)")
     loadtest.add_argument("--json", action="store_true")
     loadtest.set_defaults(func=cmd_loadtest)
-
-    demo = sub.add_parser("demo", help="live asyncio proxy demo")
-    demo.add_argument("--clients", type=int, default=2)
-    demo.add_argument("--bytes", type=int, default=300_000)
-    demo.add_argument("--interval", default="100ms")
-    demo.add_argument("--json", action="store_true")
-    demo.set_defaults(func=cmd_demo)
 
     return parser
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import LinearCostModel
+from repro.core.queues import QueueEntry
 from repro.core.schedule import SCHEDULE_HEADER_BYTES, SLOT_ENTRY_BYTES
 from repro.core.txguard import TransmitWakeGuard
 from repro.errors import SchedulingError
@@ -174,11 +175,10 @@ class StaticScheduler:
                         )
                         budget -= chunk
                     if chunk < entry.nbytes:
-                        from repro.core.queues import QueueEntry
-
                         queue.push_front(
                             QueueEntry(
-                                "tcp", entry.nbytes - chunk, connection=conn
+                                "tcp", entry.nbytes - chunk, connection=conn,
+                                enqueued_at=entry.enqueued_at,
                             )
                         )
                 self.proxy.finish_drained_splits(ip)

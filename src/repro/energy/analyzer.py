@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.energy.model import (
-    EnergyBreakdown,
     integrate_intervals,
     naive_breakdown,
 )
@@ -234,13 +233,4 @@ class EnergyAnalyzer:
             miss_recovery_s=miss_recovery_s,
             optimal_saved_pct=optimal_saved_pct,
             extra=dict(extra or {}),
-        )
-
-    def naive_report(self, name: str, ip: str, kind: str = "video") -> EnergyBreakdown:
-        """Just the naive breakdown for ``ip`` (helper for tests)."""
-        return naive_breakdown(
-            rx_frames=self.rx_intervals(ip),
-            tx_frames=self.tx_intervals(ip),
-            duration_s=self.duration_s,
-            power=self.power,
         )

@@ -84,7 +84,9 @@ class ExperimentConfig:
     reuse_schedules: bool = False
     adaptive_video: bool = True
     power: PowerModel = WAVELAN_2_4GHZ
-    scenario: Optional[ScenarioConfig] = None
+    #: How the proxy carries TCP ("split" | "passthrough" | "bridge";
+    #: see :class:`~repro.core.proxy.TransparentProxy`).
+    tcp_mode: str = "split"
     #: Deterministic fault-injection plan (see :mod:`repro.faults`).
     #: Threaded into the scenario, the scheduler's slot-reclamation
     #: timeout and every client's fallback/clock-error wiring.
@@ -109,8 +111,7 @@ class ExperimentConfig:
     power_aware_clients: bool = True
     #: Observability mode: "full", "trace" (rows only), "metrics"
     #: (counters only — the 1k-client smoke mode), or "off"
-    #: (NullRecorder). Only consulted when ``scenario`` is None;
-    #: an explicit ScenarioConfig carries its own obs_mode.
+    #: (NullRecorder).
     obs_mode: str = "full"
 
     def __post_init__(self) -> None:
@@ -181,9 +182,6 @@ class ExperimentResult:
         """Alias used throughout the examples."""
         return self.reports
 
-    def report_for(self, index: int) -> ClientReport:
-        return self.reports[index]
-
 
 def video_only(
     bitrates_kbps: list[int],
@@ -225,46 +223,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    scenario_config = config.scenario or ScenarioConfig(
-        n_clients=len(config.clients), seed=config.seed,
-        obs_mode=config.obs_mode,
-    )
-    if scenario_config.n_clients != len(config.clients):
-        raise ConfigurationError(
-            "scenario.n_clients must match len(config.clients)"
+    plan = config.faults
+    scenario = build_scenario(
+        ScenarioConfig(
+            n_clients=len(config.clients),
+            seed=config.seed,
+            tcp_mode=config.tcp_mode,
+            faults=plan,
+            channel=config.channel,
+            obs_mode=config.obs_mode,
+            campus=config.campus,
         )
-    if config.faults is not None:
-        if (
-            scenario_config.faults is not None
-            and scenario_config.faults != config.faults
-        ):
-            raise ConfigurationError(
-                "fault plans given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.faults = config.faults
-    if config.channel is not None:
-        if (
-            scenario_config.channel is not None
-            and scenario_config.channel != config.channel
-        ):
-            raise ConfigurationError(
-                "channel plans given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.channel = config.channel
-    if config.campus is not None:
-        if (
-            scenario_config.campus is not None
-            and scenario_config.campus != config.campus
-        ):
-            raise ConfigurationError(
-                "campus topologies given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.campus = config.campus
-    plan = scenario_config.faults
-    scenario = build_scenario(scenario_config)
+    )
     sim = scenario.sim
     cost_model = calibrate(scenario.medium)
 

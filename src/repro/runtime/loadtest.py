@@ -30,7 +30,7 @@ from repro.errors import OverloadError, ProxyProtocolError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.obs import Recorder, SimRecorder
 from repro.runtime.chaos import ChaosShim
-from repro.runtime.client import AsyncPowerClient
+from repro.runtime.client import AsyncPowerClient, VirtualWnic
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import CHUNK, AsyncProxy, AsyncProxyConfig
 
@@ -96,6 +96,8 @@ class LoadTestReport:
     chaos_dropped: int
     #: Canonical obs metrics snapshot (same instrument names as the sim).
     metrics: dict
+    #: One row per client (see :func:`_client_row`).
+    client_rows: list[dict]
 
     def summary_rows(self) -> list[dict]:
         """Flat rows for the CLI table (metrics snapshot omitted)."""
@@ -122,9 +124,13 @@ async def _client_worker(
     origin_port: int,
     latencies: list[float],
     outcomes: dict,
-) -> None:
+) -> tuple[Optional[float], int]:
+    """Run one client's requests; returns the loop time its last
+    successful request ended (None if none did) and its bytes."""
     loop = asyncio.get_running_loop()
     request = f"GET {config.bytes_per_request}\n".encode()
+    last_end: Optional[float] = None
+    received = 0
     for _ in range(config.requests_per_client):
         if client._transport is None:  # vanished under chaos
             break
@@ -144,11 +150,34 @@ async def _client_worker(
             outcomes["failed"] += 1
             continue
         if len(payload) == config.bytes_per_request:
-            latencies.append(loop.time() - begin)
+            last_end = loop.time()
+            latencies.append(last_end - begin)
             outcomes["ok"] += 1
-            outcomes["bytes"] += len(payload)
+            received += len(payload)
         else:
             outcomes["failed"] += 1
+    return last_end, received
+
+
+def _client_row(
+    client: AsyncPowerClient, last_end: Optional[float], received: int
+) -> dict:
+    """One client's row. The WNIC figures cover the window from the
+    card's epoch to the client's last successful request, so clients
+    that finish early are not charged for waiting on the others; the
+    schedule and mark counts cover the whole run."""
+    window = last_end - client.wnic.epoch if last_end is not None else 0.0
+    return {
+        "client": client.client_id,
+        "bytes": received,
+        "schedules": client.schedules_heard,
+        "marks": client.marks_heard,
+        "awake_pct": (
+            100.0 * client.wnic.awake_time(window) / window
+            if window > 0 else 100.0
+        ),
+        "est_saved_pct": client.wnic.estimated_savings_pct(until=window),
+    }
 
 
 def _broadcast_jitter(times: list[float], interval_s: float) -> list[float]:
@@ -169,12 +198,17 @@ async def run_loadtest(
     proxy_config = config.proxy
     proxy_config.burst_interval_s = config.burst_interval_s
 
+    loop = asyncio.get_running_loop()
     origin = SpeedTestOrigin(pace_s=config.origin_pace_s)
     origin_port = await origin.start()
     proxy = AsyncProxy(proxy_config, obs=recorder)
     await proxy.start()
+    # The cards keep the loop's clock, the one the workers stamp
+    # request ends with.
     clients = [
-        AsyncPowerClient(f"lt-{i}", obs=recorder)
+        AsyncPowerClient(
+            f"lt-{i}", wnic=VirtualWnic(clock=loop.time), obs=recorder
+        )
         for i in range(config.clients)
     ]
     for client in clients:
@@ -189,12 +223,11 @@ async def run_loadtest(
             shim.drive(origin=origin, clients=clients)
         )
 
-    loop = asyncio.get_running_loop()
     latencies: list[float] = []
-    outcomes = {"ok": 0, "failed": 0, "overloaded": 0, "bytes": 0}
+    outcomes = {"ok": 0, "failed": 0, "overloaded": 0}
     begin = loop.time()
     try:
-        await asyncio.gather(*(
+        per_client = await asyncio.gather(*(
             _client_worker(
                 client, config, proxy.port, origin_port, latencies, outcomes,
             )
@@ -231,7 +264,7 @@ async def run_loadtest(
         requests_total=total,
         requests_ok=outcomes["ok"],
         requests_failed=outcomes["failed"] + outcomes["overloaded"],
-        bytes_received=outcomes["bytes"],
+        bytes_received=sum(received for _, received in per_client),
         duration_s=duration,
         req_per_s=outcomes["ok"] / duration,
         latency_p50_s=percentile(latencies, 0.50),
@@ -253,4 +286,8 @@ async def run_loadtest(
         slots_reclaimed=proxy.slots_reclaimed,
         chaos_dropped=shim.dropped_total if shim is not None else 0,
         metrics=metrics,
+        client_rows=[
+            _client_row(client, last_end, received)
+            for client, (last_end, received) in zip(clients, per_client)
+        ],
     )

@@ -1,11 +1,10 @@
-"""A local speed-test origin server for demos, load tests, and chaos.
+"""A local speed-test origin server for load tests and chaos.
 
 The protocol is one request line, ``GET <nbytes>\\n``, answered with
 exactly that many zero bytes. Pacing is configurable: ``pace_s > 0``
-streams in small chunks with sleeps (a crude CBR stream, the demo
-default), ``pace_s = 0`` blasts at loopback speed (the load-test
-default, so the proxy's buffering — not the origin — is the bottleneck
-under test).
+streams in small chunks with sleeps (a crude CBR stream),
+``pace_s = 0`` blasts at loopback speed (the load-test default, so the
+proxy's buffering — not the origin — is the bottleneck under test).
 
 For chaos experiments the server is killable mid-flight:
 :meth:`SpeedTestOrigin.kill` aborts every live connection and closes
@@ -152,13 +151,3 @@ class SpeedTestOrigin:
             # Local bookkeeping: kill() already closed the listener and
             # every handler task was awaited above.
             await server.wait_closed()  # repro: noqa[ASY003] -- resolves locally after close(); no peer can wedge it
-
-    # -- asyncio.AbstractServer-style compat shims ------------------------
-
-    def close(self) -> None:
-        """Alias for :meth:`kill` (drop-in for a raw asyncio server)."""
-        self.kill()
-
-    async def wait_closed(self) -> None:
-        """No-op once :meth:`close`/:meth:`kill` has run."""
-        return None

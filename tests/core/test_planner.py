@@ -160,7 +160,7 @@ def test_hundred_video_clients_at_50ms_finish():
             burst_interval_s=0.05,
             duration_s=3.0,
             start_stagger_s=0.01,
-            scenario=ScenarioConfig(n_clients=n, seed=0, obs_mode="off"),
+            obs_mode="off",
         )
     )
     assert len(result.reports) == n

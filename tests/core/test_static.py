@@ -180,3 +180,19 @@ class TestStaticExecution:
             )
 
         assert run("static") < run("dynamic")
+
+
+def test_split_tcp_credit_keeps_its_enqueue_time():
+    """A TCP credit the static window splits keeps the time its data
+    was queued; a re-queued tail stamped 0.0 would be charged its whole
+    age since the start of the run (0.79 s mean delay instead of 0.30)."""
+    from repro.experiments.runner import mixed, run_experiment
+
+    result = run_experiment(
+        mixed(
+            [256, 256], n_web=2, burst_interval_s=0.5, scheduler="static",
+            static_tcp_weight=0.33, duration_s=20.0, start_stagger_s=0.003,
+            obs_mode="off",
+        )
+    )
+    assert result.mean_queue_delay_s < 0.5

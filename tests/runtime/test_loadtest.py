@@ -10,6 +10,7 @@ import pytest
 
 from repro.faults.plan import ChurnEvent, FaultPlan
 from repro.obs import SimRecorder
+from repro.runtime import loadtest
 from repro.runtime.loadtest import (
     LoadTestConfig,
     _broadcast_jitter,
@@ -116,3 +117,37 @@ class TestLoadTest:
             "p50_ms", "p99_ms", "jitter_p99_ms", "peak_queue_kib",
             "refused", "evicted", "restarts",
         }
+
+    def test_client_rows_cover_each_client_up_to_its_last_request(
+        self, monkeypatch
+    ):
+        ends = {}
+        worker = loadtest._client_worker
+
+        async def spy(client, *args):
+            last_end, received = await worker(client, *args)
+            ends[client.client_id] = (client, last_end)
+            return last_end, received
+
+        monkeypatch.setattr(loadtest, "_client_worker", spy)
+        config = LoadTestConfig(
+            clients=2, requests_per_client=2, bytes_per_request=60_000,
+        )
+        report = run_strict(run_loadtest(config), timeout_s=60.0)
+        assert [row["client"] for row in report.client_rows] == [
+            "lt-0", "lt-1",
+        ]
+        for row in report.client_rows:
+            assert set(row) == {
+                "client", "bytes", "schedules", "marks", "awake_pct",
+                "est_saved_pct",
+            }
+            assert row["bytes"] == 2 * 60_000
+            client, last_end = ends[row["client"]]
+            window = last_end - client.wnic.epoch
+            assert row["est_saved_pct"] == client.wnic.estimated_savings_pct(
+                until=window
+            )
+            assert row["awake_pct"] == (
+                100.0 * client.wnic.awake_time(window) / window
+            )

@@ -16,7 +16,7 @@ from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
 from repro.runtime.client import AsyncPowerClient
-from repro.runtime.demo import run_demo, start_byte_server
+from repro.runtime.loadtest import LoadTestConfig, run_loadtest
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import (
     CHUNK,
@@ -63,7 +63,8 @@ class TestLiveProxy:
     @pytest.mark.timeout(60)
     def test_single_client_download_integrity(self):
         async def scenario():
-            origin, origin_port = await start_byte_server()
+            origin = SpeedTestOrigin(pace_s=0.005)
+            origin_port = await origin.start()
             proxy = AsyncProxy(_fast_config())
             await proxy.start()
             client = AsyncPowerClient("c0")
@@ -87,17 +88,21 @@ class TestLiveProxy:
 
     @pytest.mark.timeout(60)
     def test_demo_multiple_clients(self):
-        results = run_strict(
-            run_demo(n_clients=2, file_size=120_000, burst_interval_s=0.05),
-            timeout_s=60.0,
+        config = LoadTestConfig(
+            clients=2,
+            requests_per_client=1,
+            bytes_per_request=120_000,
+            burst_interval_s=0.05,
+            origin_pace_s=0.005,
         )
-        assert len(results) == 2
-        for result in results:
-            assert result.bytes_received == 120_000
-            assert result.schedules_heard > 0
-            assert result.marks_heard > 0
+        report = run_strict(run_loadtest(config), timeout_s=60.0)
+        assert len(report.client_rows) == 2
+        for row in report.client_rows:
+            assert row["bytes"] == 120_000
+            assert row["schedules"] > 0
+            assert row["marks"] > 0
             # The virtual card dozed at least part of the time.
-            assert result.awake_fraction < 1.0
+            assert row["awake_pct"] < 100.0
 
     def test_proxy_rejects_malformed_header(self):
         async def scenario():

@@ -1,9 +1,9 @@
 """VirtualWnic transition-log edge cases.
 
-The virtual card's savings estimate feeds the demo and load-test
-output; these tests pin down the window semantics — overlapping
-queries, zero-length windows, and wake-penalty accounting — that the
-wall-clock integration tests cannot time precisely.
+The virtual card's savings estimate feeds the load-test's per-client
+rows; these tests pin down the window semantics — overlapping queries,
+zero-length windows, and wake-penalty accounting — that the wall-clock
+integration tests cannot time precisely.
 """
 
 import pytest

@@ -84,5 +84,5 @@ class TestCommands:
     def test_parser_help_lists_commands(self):
         parser = build_parser()
         help_text = parser.format_help()
-        for command in ("run", "figure", "table", "demo"):
+        for command in ("run", "figure", "table", "loadtest"):
             assert command in help_text
